@@ -112,8 +112,6 @@ void run_spmv(benchmark::State& state, bool owned) {
   state.counters["steals_sibling"] = static_cast<double>(st.steals_sibling);
   state.counters["steals_local"] = static_cast<double>(st.steals_local);
   state.counters["steals_remote"] = static_cast<double>(st.steals_remote);
-  state.counters["cross_domain_steals"] =
-      static_cast<double>(st.cross_domain_steals);
 }
 
 void BM_CsbSpmvUnpinnedFlat(benchmark::State& state) {

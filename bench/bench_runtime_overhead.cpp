@@ -7,6 +7,8 @@
 // budget from DESIGN.md) is measurable as a same-binary delta.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench_json.hpp"
 #include "ds/executor.hpp"
 #include "ds/program.hpp"
@@ -86,6 +88,32 @@ void BM_FluxDataflowChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_FluxDataflowChain);
+
+// Fan-in: 48 producers joined by one when_all, the shape of the Lanczos
+// XTY reduce. Each round's producers wait on the previous round's join, so
+// a round pays 48 edges out of one state and 48 into the next; items are
+// tasks (producers plus the join).
+void BM_FluxDataflowFanIn(benchmark::State& state) {
+  constexpr int kProducers = 48;
+  constexpr int kRounds = 16;
+  flux::Scheduler sched({.threads = 2});
+  for (auto _ : state) {
+    flux::shared_future<void> join = flux::make_ready_future();
+    for (int r = 0; r < kRounds; ++r) {
+      std::vector<flux::shared_future<void>> parts;
+      parts.reserve(kProducers);
+      for (int p = 0; p < kProducers; ++p) {
+        parts.push_back(
+            flux::dataflow(sched, flux::unwrapping([] {}), join).share());
+      }
+      join = flux::when_all(sched, std::move(parts)).share();
+    }
+    join.get();
+    sched.wait_for_quiescence();
+  }
+  state.SetItemsProcessed(state.iterations() * kRounds * (kProducers + 1));
+}
+BENCHMARK(BM_FluxDataflowFanIn);
 
 void BM_RgtAnalysis(benchmark::State& state) {
   const bool traced = state.range(0) != 0;

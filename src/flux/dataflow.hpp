@@ -9,6 +9,10 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
+#include <exception>
+#include <memory>
+#include <optional>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -31,64 +35,166 @@ struct is_future_like<std::vector<shared_future<T>>> : std::true_type {};
 template <typename T>
 inline constexpr bool is_future_like_v = is_future_like<std::decay_t<T>>::value;
 
-/// Counts the pending dependencies an argument contributes.
-template <typename A>
-std::size_t dependency_count(const A& arg) {
-  using D = std::decay_t<A>;
+/// Calls `visit(state)` for the shared state of every future inside `arg`
+/// (no-op for plain values).
+template <typename A, typename Visit>
+void for_each_state(const A& arg, Visit&& visit) {
   if constexpr (!is_future_like_v<A>) {
     (void)arg;
-    return 0;
-  } else if constexpr (requires { arg.size(); }) {
-    return arg.size();
+    (void)visit;
+  } else if constexpr (requires { arg.begin(); }) {
+    for (const auto& f : arg) visit(*f.state());
   } else {
-    (void)sizeof(D);
-    return 1;
+    visit(*arg.state());
   }
 }
 
-/// Attaches `cb` to every future inside `arg` (no-op for plain values).
-template <typename A, typename Cb>
-void attach_continuations(const A& arg, const Cb& cb) {
-  if constexpr (!is_future_like_v<A>) {
-    (void)arg;
-    (void)cb;
-  } else if constexpr (requires { arg.begin(); }) {
-    for (const auto& f : arg) f.state()->add_continuation(cb);
-  } else {
-    arg.state()->add_continuation(cb);
-  }
+/// Counts the dependencies an argument contributes.
+template <typename A>
+std::size_t dependency_count(const A& arg) {
+  std::size_t n = 0;
+  for_each_state(arg, [&](const StateCore&) { ++n; });
+  return n;
 }
 
 /// First stored exception among the (ready) futures inside `arg`, if any.
 template <typename A>
 std::exception_ptr dependency_error(const A& arg) {
-  if constexpr (!is_future_like_v<A>) {
-    (void)arg;
-    return nullptr;
-  } else if constexpr (requires { arg.begin(); }) {
-    for (const auto& f : arg) {
-      if (auto e = f.state()->error()) return e;
-    }
-    return nullptr;
-  } else {
-    return arg.state()->error();
-  }
+  std::exception_ptr err;
+  for_each_state(arg, [&](const StateCore& s) {
+    if (!err) err = s.error();
+  });
+  return err;
 }
 
-template <typename R>
-struct Invoker {
-  template <typename F, typename Tuple>
-  static void run(F& f, Tuple& args, promise<R>& result) {
-    result.set_value(std::apply(f, args));
+/// One dataflow task in a single allocation (DESIGN.md §10): the node is
+/// the task's FutureState<R> and also owns the callable, the arguments,
+/// the countdown of unfinished dependencies and the intrusive links it
+/// registers on those dependencies (inline for up to kInlineLinks, one
+/// array above that). While any link is pending the node keeps itself
+/// alive through `self_`; the link that brings the countdown to zero hands
+/// that reference to the scheduler task that runs the body. The callable
+/// and arguments are destroyed before the result is published, so a
+/// finished node pins neither its inputs nor their producers.
+///
+/// With kWaitsOnArgs false (async) future arguments are plain values: the
+/// node has no dependencies and is submitted at creation.
+template <typename R, bool kWaitsOnArgs, typename Fn, typename... Args>
+class DataflowNode final : public FutureState<R> {
+public:
+  static constexpr std::size_t kInlineLinks = 4;
+
+  template <typename F, typename... A>
+  DataflowNode(Scheduler& sched, int hint, F&& f, A&&... args)
+      : sched_(&sched), hint_(hint) {
+    payload_.emplace(std::forward<F>(f), std::forward<A>(args)...);
   }
-};
-template <>
-struct Invoker<void> {
-  template <typename F, typename Tuple>
-  static void run(F& f, Tuple& args, promise<void>& result) {
-    std::apply(f, args);
-    result.set_value();
+
+  /// Creates the node, registers it on its dependencies and returns its
+  /// future. The node is submitted once the last dependency is ready (at
+  /// once when there is none).
+  template <typename F, typename... A>
+  static future<R> launch(Scheduler& sched, int hint, F&& f, A&&... args) {
+    auto owner = std::make_shared<DataflowNode>(
+        sched, hint, std::forward<F>(f), std::forward<A>(args)...);
+    DataflowNode& node = *owner;
+    std::size_t deps = 0;
+    Continuation* links = node.inline_links_;
+    if constexpr (kWaitsOnArgs) {
+      std::apply(
+          [&](const auto&... a) { ((deps += dependency_count(a)), ...); },
+          node.payload_->args);
+      if (deps > kInlineLinks) {
+        node.link_array_ = std::make_unique<Continuation[]>(deps);
+        links = node.link_array_.get();
+      }
+    }
+    // +1 sentinel: keeps the task from firing while links are still being
+    // registered below.
+    node.remaining_.store(deps + 1, std::memory_order_relaxed);
+    future<R> result(owner);
+    node.self_ = std::move(owner); // nothing below throws
+    if constexpr (kWaitsOnArgs) {
+      std::apply(
+          [&](const auto&... a) {
+            (for_each_state(a,
+                            [&](StateCore& s) {
+                              Continuation& link = *links++;
+                              link.fire = &DataflowNode::on_dependency_ready;
+                              link.context = &node;
+                              s.add_continuation(link);
+                            }),
+             ...);
+          },
+          node.payload_->args);
+    }
+    node.release_one(); // the sentinel
+    return result;
   }
+
+private:
+  struct Payload {
+    template <typename F, typename... A>
+    explicit Payload(F&& f, A&&... a)
+        : fn(std::forward<F>(f)), args(std::forward<A>(a)...) {}
+    Fn fn;
+    std::tuple<Args...> args;
+  };
+
+  static void on_dependency_ready(Continuation& link) noexcept {
+    static_cast<DataflowNode*>(link.context)->release_one();
+  }
+
+  void release_one() noexcept {
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // submit_always: the node owns a future and must complete it even
+      // under cancellation (a dropped body would strand it).
+      sched_->submit_always([node = std::move(self_)] { node->run(); },
+                            hint_);
+    }
+  }
+
+  void run() {
+    std::exception_ptr err;
+    if constexpr (kWaitsOnArgs) {
+      // A failed dependency poisons this node: forward its exception without
+      // invoking the body, so errors flow along dataflow edges exactly like
+      // values do.
+      std::apply(
+          [&](const auto&... a) {
+            ((err = err ? err : dependency_error(a)), ...);
+          },
+          payload_->args);
+    }
+    if (!err) {
+      try {
+        // An unrelated task's failure cancels this body too; the latched
+        // error flows into this node's future.
+        sched_->rethrow_if_cancelled();
+        if constexpr (std::is_void_v<R>) {
+          std::apply(payload_->fn, payload_->args);
+        } else {
+          this->emplace_value(std::apply(payload_->fn, payload_->args));
+        }
+      } catch (...) {
+        err = std::current_exception();
+        // Latch with the scheduler *before* publishing, so by the time a
+        // waiter observes the exception the runtime is already cancelling
+        // (the ordering the watchdog tests rely on).
+        sched_->report_task_error(err);
+      }
+    }
+    payload_.reset();
+    this->complete(std::move(err));
+  }
+
+  std::optional<Payload> payload_;
+  Scheduler* sched_;
+  int hint_;
+  std::atomic<std::size_t> remaining_{0};
+  std::shared_ptr<DataflowNode> self_;
+  Continuation inline_links_[kInlineLinks];
+  std::unique_ptr<Continuation[]> link_array_;
 };
 
 } // namespace detail
@@ -103,26 +209,9 @@ template <typename F, typename... Args>
 auto async(Scheduler& sched, F&& f, Args&&... args)
     -> future<std::invoke_result_t<std::decay_t<F>, std::decay_t<Args>&...>> {
   using R = std::invoke_result_t<std::decay_t<F>, std::decay_t<Args>&...>;
-  promise<R> result;
-  auto fut = result.get_future();
-  // submit_always: this closure owns a promise, so it must run even under
-  // cancellation (a dropped body would strand the future); it skips the user
-  // body itself via rethrow_if_cancelled().
-  sched.submit_always([&sched, f = std::forward<F>(f),
-                       args = std::make_tuple(std::forward<Args>(args)...),
-                       result]() mutable {
-    try {
-      sched.rethrow_if_cancelled();
-      detail::Invoker<R>::run(f, args, result);
-    } catch (...) {
-      // Latch with the scheduler *before* publishing to the promise, so by
-      // the time a waiter observes the exception the runtime is already
-      // cancelling — the ordering the watchdog tests rely on.
-      sched.report_task_error(std::current_exception());
-      result.set_exception(std::current_exception());
-    }
-  });
-  return fut;
+  return detail::DataflowNode<R, false, std::decay_t<F>,
+                              std::decay_t<Args>...>::
+      launch(sched, -1, std::forward<F>(f), std::forward<Args>(args)...);
 }
 
 /// Schedules f(args...) for when all future-like args are ready.
@@ -131,81 +220,9 @@ template <typename F, typename... Args>
 auto dataflow_hint(Scheduler& sched, int domain_hint, F&& f, Args&&... args)
     -> future<std::invoke_result_t<std::decay_t<F>, std::decay_t<Args>&...>> {
   using R = std::invoke_result_t<std::decay_t<F>, std::decay_t<Args>&...>;
-  promise<R> result;
-  auto fut = result.get_future();
-
-  // Shared closure owning the callable and the (copied/moved) arguments.
-  struct Pending {
-    Pending(F&& f_in, std::tuple<std::decay_t<Args>...> args_in,
-            promise<R> result_in, Scheduler* sched_in, int hint_in)
-        : fn(std::forward<F>(f_in)), args(std::move(args_in)),
-          result(std::move(result_in)), remaining(0), sched(sched_in),
-          hint(hint_in) {}
-    std::decay_t<F> fn;
-    std::tuple<std::decay_t<Args>...> args;
-    promise<R> result;
-    std::atomic<std::size_t> remaining;
-    Scheduler* sched;
-    int hint;
-  };
-  auto pending = std::make_shared<Pending>(
-      std::forward<F>(f), std::make_tuple(std::forward<Args>(args)...),
-      result, &sched, domain_hint);
-
-  std::size_t deps = 0;
-  std::apply(
-      [&](const auto&... unpacked) {
-        ((deps += detail::dependency_count(unpacked)), ...);
-      },
-      pending->args);
-  // +1 sentinel: keeps the task from firing while continuations are still
-  // being attached below.
-  pending->remaining.store(deps + 1, std::memory_order_relaxed);
-
-  auto on_dep_ready = [pending]() {
-    if (pending->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // submit_always: the closure owns a promise and must complete it even
-      // under cancellation (a dropped body would strand the future).
-      pending->sched->submit_always(
-          [pending]() {
-            // A failed dependency poisons this node: forward its exception
-            // without invoking the body, so errors flow along dataflow
-            // edges exactly like values do.
-            std::exception_ptr dep_err;
-            std::apply(
-                [&](const auto&... unpacked) {
-                  ((dep_err = dep_err ? dep_err
-                                      : detail::dependency_error(unpacked)),
-                   ...);
-                },
-                pending->args);
-            if (dep_err) {
-              pending->result.set_exception(dep_err);
-              return;
-            }
-            try {
-              // An unrelated task's failure cancels this body too; the
-              // latched error flows into this node's promise.
-              pending->sched->rethrow_if_cancelled();
-              detail::Invoker<R>::run(pending->fn, pending->args,
-                                      pending->result);
-            } catch (...) {
-              pending->sched->report_task_error(std::current_exception());
-              pending->result.set_exception(std::current_exception());
-            }
-          },
-          pending->hint);
-    }
-  };
-
-  std::apply(
-      [&](const auto&... unpacked) {
-        (detail::attach_continuations(unpacked, on_dep_ready), ...);
-      },
-      pending->args);
-  on_dep_ready(); // release the sentinel
-
-  return fut;
+  return detail::DataflowNode<R, true, std::decay_t<F>, std::decay_t<Args>...>::
+      launch(sched, domain_hint, std::forward<F>(f),
+             std::forward<Args>(args)...);
 }
 
 template <typename F, typename... Args>

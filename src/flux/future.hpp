@@ -7,18 +7,22 @@
 // worker thread executes other pending tasks while it waits instead of
 // blocking the OS thread (HPX suspends lightweight threads; help-first
 // waiting is the equivalent for kernel-thread workers).
+//
+// The shared state is lock-free (DESIGN.md §10): readiness and the list of
+// registered continuations are one atomic word, and continuations are
+// intrusive links owned by whoever registers them, so completing a state
+// or hooking a dependency onto it neither allocates nor locks.
 #pragma once
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <semaphore>
 #include <thread>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "flux/scheduler.hpp"
 #include "support/error.hpp"
@@ -27,43 +31,51 @@ namespace sts::flux {
 
 namespace detail {
 
-/// Shared state common to future<T> and shared_future<T>.
-template <typename T>
-class FutureState {
+/// Intrusive completion link. The registrant owns the link's storage and
+/// keeps it alive until it fires; it fires exactly once, either on the
+/// thread that completes the state or inline in add_continuation() when the
+/// state is already ready. `fire` must not throw.
+struct Continuation {
+  void (*fire)(Continuation& self) noexcept = nullptr;
+  void* context = nullptr;
+  Continuation* next = nullptr; // owned by the state while registered
+};
+
+/// Value of the state word once the state is ready; never a real link.
+inline constinit Continuation ready_tag{};
+
+/// Type-independent half of the shared state: the atomic state word, the
+/// stored error, registration, completion and waiting.
+///
+/// The state word is null or the head of a Treiber stack of pending links
+/// while the state is pending, and &ready_tag once it is ready. Pushes CAS
+/// with release (publishing the link's fields); completion exchanges in
+/// &ready_tag with acq_rel (release publishes the value and error, acquire
+/// makes every pushed link visible). Readers acquire-load the word, so
+/// seeing it ready makes the value visible without any lock.
+class StateCore {
 public:
-  using Storage = std::conditional_t<std::is_void_v<T>, char, std::optional<T>>;
+  StateCore() = default;
+  StateCore(const StateCore&) = delete;
+  StateCore& operator=(const StateCore&) = delete;
 
-  void set_value_impl() {
-    static_assert(std::is_void_v<T>);
-    finish([](Storage&) {});
+  [[nodiscard]] bool ready() const noexcept {
+    return head_.load(std::memory_order_acquire) == &ready_tag;
   }
 
-  template <typename U>
-  void set_value_impl(U&& value) {
-    static_assert(!std::is_void_v<T>);
-    finish([&](Storage& s) { s.emplace(std::forward<U>(value)); });
-  }
-
-  void set_exception(std::exception_ptr e) {
-    finish([&](Storage&) {}, e);
-  }
-
-  [[nodiscard]] bool ready() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return ready_;
-  }
-
-  /// Registers `fn` to run when the state becomes ready; runs it inline
-  /// immediately if already ready. Continuations fire exactly once.
-  void add_continuation(std::function<void()> fn) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!ready_) {
-        continuations_.push_back(std::move(fn));
+  /// Registers `link` to fire when the state becomes ready; fires it inline
+  /// immediately if already ready. Links fire in registration order.
+  void add_continuation(Continuation& link) noexcept {
+    Continuation* head = head_.load(std::memory_order_acquire);
+    do {
+      if (head == &ready_tag) {
+        link.fire(link);
         return;
       }
-    }
-    fn();
+      link.next = head;
+    } while (!head_.compare_exchange_weak(head, &link,
+                                          std::memory_order_release,
+                                          std::memory_order_acquire));
   }
 
   /// Blocks until ready; `helper` (may be null) is invoked repeatedly to
@@ -72,67 +84,138 @@ public:
   /// failure is rethrown here instead of blocking on a future whose
   /// producer was cancelled and will never complete.
   void wait(Scheduler* helper) {
-    if (helper != nullptr) {
-      const bool on_worker = helper->current_worker() >= 0;
+    if (ready()) return;
+    if (helper != nullptr && helper->current_worker() >= 0) {
+      // Cooperative wait on a worker: stay hot, another worker is about to
+      // publish the value.
       while (!ready()) {
         helper->rethrow_if_cancelled();
-        if (helper->try_run_one()) continue;
-        if (on_worker) {
-          // Cooperative wait on a worker: stay hot, another worker is about
-          // to publish the value.
-          std::this_thread::yield();
-          continue;
-        }
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait_for(lock, std::chrono::milliseconds(1),
-                     [&] { return ready_; });
+        if (!helper->try_run_one()) std::this_thread::yield();
       }
       return;
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return ready_; });
+    // A thread outside the pool parks on a link pushed onto the state word,
+    // so completion wakes it through the ordinary firing loop and a state
+    // nobody blocks on pays nothing for waiters.
+    struct ParkerRef {
+      Parker* p = nullptr;
+      ~ParkerRef() {
+        if (p != nullptr) p->drop();
+      }
+    } parker;
+    while (!ready()) {
+      if (helper != nullptr) {
+        helper->rethrow_if_cancelled();
+        if (helper->try_run_one()) continue;
+      }
+      if (parker.p == nullptr) parker.p = Parker::attach(*this);
+      if (helper == nullptr) {
+        parker.p->sem.acquire();
+      } else {
+        (void)parker.p->sem.try_acquire_for(std::chrono::milliseconds(1));
+      }
+    }
   }
 
   /// Stored exception if the state completed exceptionally; null while
   /// pending or on success. Used by dataflow() to forward dependency
   /// failures without invoking the dependent body.
   [[nodiscard]] std::exception_ptr error() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return ready_ ? error_ : nullptr;
+    return ready() ? error_ : nullptr;
   }
+
+protected:
+  ~StateCore() = default;
+
+  /// Publishes the state (value already stored, or `e`) and fires the
+  /// registered links in registration order.
+  void complete(std::exception_ptr e) {
+    STS_EXPECTS(!ready()); // single completion
+    error_ = std::move(e);
+    Continuation* list = head_.exchange(&ready_tag, std::memory_order_acq_rel);
+    // The stack holds links newest first; reverse it so they fire in
+    // registration order. Each `next` is read before its link fires: a fired
+    // link's owner may be destroyed by then.
+    Continuation* ordered = nullptr;
+    while (list != nullptr) {
+      Continuation* next = list->next;
+      list->next = ordered;
+      ordered = list;
+      list = next;
+    }
+    while (ordered != nullptr) {
+      Continuation* next = ordered->next;
+      ordered->fire(*ordered);
+      ordered = next;
+    }
+  }
+
+private:
+  /// A blocked thread's wake-up link. Heap-allocated and shared between the
+  /// waiter and the state (two references), so a waiter that leaves on
+  /// cancellation never strands a dangling link on the state.
+  struct Parker {
+    static Parker* attach(StateCore& state) {
+      auto* parker = new Parker;
+      state.add_continuation(parker->link);
+      return parker;
+    }
+    static void on_ready(Continuation& link) noexcept {
+      auto* parker = static_cast<Parker*>(link.context);
+      parker->sem.release();
+      parker->drop();
+    }
+    void drop() noexcept {
+      if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+    }
+    Continuation link{&on_ready, this};
+    std::binary_semaphore sem{0};
+    std::atomic<int> refs{2};
+  };
+
+  std::atomic<Continuation*> head_{nullptr};
+  std::exception_ptr error_;
+};
+
+/// Shared state common to future<T> and shared_future<T>.
+template <typename T>
+class FutureState : public StateCore {
+public:
+  using Storage = std::conditional_t<std::is_void_v<T>, char, std::optional<T>>;
+
+  void set_value_impl() {
+    static_assert(std::is_void_v<T>);
+    complete(nullptr);
+  }
+
+  template <typename U>
+  void set_value_impl(U&& value) {
+    static_assert(!std::is_void_v<T>);
+    STS_EXPECTS(!ready()); // single completion (checked before storing)
+    storage_.emplace(std::forward<U>(value));
+    complete(nullptr);
+  }
+
+  void set_exception(std::exception_ptr e) { complete(std::move(e)); }
 
   /// Precondition: ready. Rethrows a stored exception.
   decltype(auto) value() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    STS_EXPECTS(ready_);
-    if (error_) std::rethrow_exception(error_);
+    STS_EXPECTS(ready());
+    if (auto e = error()) std::rethrow_exception(e);
     if constexpr (!std::is_void_v<T>) {
       return static_cast<T&>(*storage_);
     }
   }
 
-private:
-  template <typename Store>
-  void finish(Store&& store, std::exception_ptr e = nullptr) {
-    std::vector<std::function<void()>> to_run;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      STS_EXPECTS(!ready_); // single completion
-      store(storage_);
-      error_ = e;
-      ready_ = true;
-      to_run.swap(continuations_);
-    }
-    cv_.notify_all();
-    for (auto& fn : to_run) fn();
+protected:
+  /// Stores the value without publishing it (complete() publishes).
+  template <typename U>
+  void emplace_value(U&& value) {
+    storage_.emplace(std::forward<U>(value));
   }
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
+private:
   Storage storage_{};
-  std::exception_ptr error_;
-  bool ready_ = false;
-  std::vector<std::function<void()>> continuations_;
 };
 
 } // namespace detail
@@ -222,7 +305,8 @@ public:
   shared_future() = default;
   explicit shared_future(std::shared_ptr<detail::FutureState<T>> s)
       : state_(std::move(s)) {}
-  /*implicit*/ shared_future(future<T>&& f) : state_(f.share().state()) {}
+  /*implicit*/ shared_future(future<T>&& f)
+      : state_(std::move(f.share().state_)) {}
 
   [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
   [[nodiscard]] bool is_ready() const {

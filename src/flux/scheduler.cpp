@@ -672,7 +672,8 @@ std::string Scheduler::QueueDiagnostics::to_string() const {
 bool Scheduler::try_run_one() {
   QueuedTask task;
   bool got = false;
-  if (tls_scheduler == this && tls_worker_index >= 0) {
+  const bool on_worker = tls_scheduler == this && tls_worker_index >= 0;
+  if (on_worker) {
     got = pop_own(static_cast<unsigned>(tls_worker_index), task) ||
           steal(static_cast<unsigned>(tls_worker_index), task);
   } else {
@@ -684,6 +685,12 @@ bool Scheduler::try_run_one() {
   }
   if (!got) return false;
   run_task(task);
+  if (on_worker) {
+    ++workers_[static_cast<unsigned>(tls_worker_index)]->executed;
+  } else {
+    helper_executed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  executed_counter().add(1);
   on_task_done();
   return true;
 }
@@ -694,6 +701,7 @@ int Scheduler::current_worker() const noexcept {
 
 Scheduler::Stats Scheduler::stats() const {
   Stats s;
+  s.executed = helper_executed_.load(std::memory_order_relaxed);
   const unsigned active = active_.load(std::memory_order_acquire);
   for (unsigned i = 0; i < active; ++i) {
     const Worker& w = *workers_[i];
@@ -703,7 +711,6 @@ Scheduler::Stats Scheduler::stats() const {
     s.steals_local += w.steals_by_tier[1];
     s.steals_remote += w.steals_by_tier[2];
   }
-  s.cross_domain_steals = s.steals_remote;
   return s;
 }
 

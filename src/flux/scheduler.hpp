@@ -98,9 +98,10 @@ public:
   };
 
   struct Stats {
+    /// Tasks run, by workers and by threads helping inside
+    /// future::get(&sched) (try_run_one()).
     std::uint64_t executed = 0;
     std::uint64_t steals = 0;
-    std::uint64_t cross_domain_steals = 0; // == steals_remote (kept: legacy)
     /// Hierarchical steal tiers (DESIGN.md §14): victim shares the thief's
     /// physical core / shares its NUMA domain / lives in another domain.
     std::uint64_t steals_sibling = 0;
@@ -276,6 +277,9 @@ private:
   std::unique_ptr<std::atomic<unsigned>[]> domain_size_;
 
   std::atomic<std::uint64_t> outstanding_{0};
+  /// Tasks run through try_run_one() by threads outside the pool (workers
+  /// count their own in Worker::executed).
+  std::atomic<std::uint64_t> helper_executed_{0};
   std::atomic<bool> stopping_{false};
   std::atomic<unsigned> next_worker_{0};
   std::atomic<int> sleepers_{0};

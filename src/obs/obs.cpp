@@ -270,8 +270,11 @@ void publish_task(const char* runtime, const perf::TaskEvent& event,
                   perf::TraceRecorder* recorder) noexcept {
   try {
     if (recorder != nullptr) {
-      recorder->record(
-          event.worker < 0 ? 0u : static_cast<unsigned>(event.worker), event);
+      // A negative worker (a thread outside the pool) gets the recorder's
+      // mutexed overflow lane: lane 0 belongs to worker 0 and is unlocked.
+      recorder->record(event.worker < 0 ? recorder->workers()
+                                        : static_cast<unsigned>(event.worker),
+                       event);
     }
     const int f = flags();
     const bool capture = job_trace_active();

@@ -112,9 +112,11 @@ void clear_job_traces() noexcept;
 // -- Event stream ----------------------------------------------------------
 
 /// Publishes one executed task: records into `recorder` when non-null
-/// (regardless of activation), and — when enabled — emits a Chrome span on
-/// the calling thread's track (category = kernel kind) and feeds the
-/// `<runtime>.task_ns.<kernel>` histogram. Never throws.
+/// (regardless of activation; a negative event.worker, i.e. a thread
+/// outside the runtime's pool, lands in the recorder's overflow lane), and
+/// — when enabled — emits a Chrome span on the calling thread's track
+/// (category = kernel kind) and feeds the `<runtime>.task_ns.<kernel>`
+/// histogram. Never throws.
 void publish_task(const char* runtime, const perf::TaskEvent& event,
                   perf::TraceRecorder* recorder) noexcept;
 

@@ -326,21 +326,7 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   auto ready = [] { return flux::make_ready_future(); };
 
   auto traced = [&](graph::KernelKind kind, std::int32_t bi, auto fn) {
-    return [&sched, trace, kind, bi, fn]() {
-      const obs::prof::TaskMark mark("flux", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn();
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = bi;
-      ev.worker = std::max(0, sched.current_worker());
-      ev.start_ns = support::now_ns();
-      fn();
-      ev.end_ns = support::now_ns();
-      obs::publish_task("flux", ev, trace);
-    };
+    return flux_traced(sched, trace, kind, bi, std::move(fn));
   };
 
   auto rows_in = [&](index_t p) { return std::min(b, m - p * b); };

@@ -9,19 +9,20 @@
 //   kRgt     - Regent-style regions/privileges             ("regent")
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "flux/scheduler.hpp"
 #include "la/dense.hpp"
+#include "obs/obs.hpp"
 #include "perf/trace.hpp"
 #include "sparse/csb.hpp"
 #include "sparse/csr.hpp"
 #include "support/cancel.hpp"
-
-namespace sts::flux {
-class Scheduler;
-}
+#include "support/timer.hpp"
 
 namespace sts::solver::ckpt {
 struct Checkpoint;
@@ -113,6 +114,33 @@ struct SolverOptions {
 inline void poll_cancel(const SolverOptions& options) {
   if (options.cancel != nullptr) options.cancel->throw_if_requested();
   if (options.resize_poll) options.resize_poll();
+}
+
+/// Wraps a flux task body so every run publishes one perf::TaskEvent to the
+/// unified event stream (bench recorder, Chrome trace, latency histograms).
+/// The event names the running thread's worker index, or -1 for a thread
+/// outside the pool that runs the body while helping inside
+/// future::get(&sched); publish_task routes -1 to the recorder's mutexed
+/// overflow lane, so a helper never races worker 0 on its unsynchronized
+/// lane.
+template <typename Fn>
+auto flux_traced(const flux::Scheduler& sched, perf::TraceRecorder* trace,
+                 graph::KernelKind kind, std::int32_t id, Fn fn) {
+  return [&sched, trace, kind, id, fn = std::move(fn)]() {
+    const obs::prof::TaskMark mark("flux", kind);
+    if (trace == nullptr && !obs::task_timing_enabled()) {
+      fn();
+      return;
+    }
+    perf::TaskEvent ev;
+    ev.kind = kind;
+    ev.task_id = id;
+    ev.worker = sched.current_worker();
+    ev.start_ns = support::now_ns();
+    fn();
+    ev.end_ns = support::now_ns();
+    obs::publish_task("flux", ev, trace);
+  };
 }
 
 /// Returns the scheduler a kFlux solve should run on: options.flux_pool

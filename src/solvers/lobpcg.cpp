@@ -587,23 +587,7 @@ public:
 
   template <typename Fn>
   auto traced(graph::KernelKind kind, std::int32_t id, Fn fn) {
-    perf::TraceRecorder* trace = opts_.trace;
-    flux::Scheduler* sched = sched_;
-    return [trace, sched, kind, id, fn]() {
-      const obs::prof::TaskMark mark("flux", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn();
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = id;
-      ev.worker = std::max(0, sched->current_worker());
-      ev.start_ns = support::now_ns();
-      fn();
-      ev.end_ns = support::now_ns();
-      obs::publish_task("flux", ev, trace);
-    };
+    return flux_traced(*sched_, opts_.trace, kind, id, std::move(fn));
   }
 
   template <typename Fn>

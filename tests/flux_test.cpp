@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -15,8 +18,62 @@
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 
+// Allocation counting for the dataflow-node tests: operator new bumps the
+// calling thread's counter while an AllocationCount is alive on it, so
+// allocations made by scheduler workers never leak into a count.
+namespace {
+thread_local std::size_t* t_alloc_count = nullptr;
+
+void* counted_malloc(std::size_t n) {
+  if (t_alloc_count != nullptr) ++*t_alloc_count;
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line so the compiler never pairs an inlined free() with the
+// operator new call that produced the pointer (-Wmismatched-new-delete).
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+} // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+
 namespace sts::flux {
 namespace {
+
+/// Counts the calling thread's operator-new calls during its lifetime.
+class AllocationCount {
+public:
+  AllocationCount() { t_alloc_count = &count_; }
+  ~AllocationCount() { t_alloc_count = nullptr; }
+  AllocationCount(const AllocationCount&) = delete;
+  AllocationCount& operator=(const AllocationCount&) = delete;
+  [[nodiscard]] std::size_t value() const { return count_; }
+
+private:
+  std::size_t count_ = 0;
+};
 
 Scheduler::Config cfg(unsigned threads, unsigned domains = 1,
                       bool numa = false) {
@@ -99,12 +156,110 @@ TEST(Future, ContinuationFiresOnce) {
   promise<void> p;
   auto f = p.get_shared_future();
   std::atomic<int> fired{0};
-  f.state()->add_continuation([&] { fired.fetch_add(1); });
+  auto bump = [](detail::Continuation& link) noexcept {
+    static_cast<std::atomic<int>*>(link.context)->fetch_add(1);
+  };
+  detail::Continuation first{bump, &fired};
+  f.state()->add_continuation(first);
   p.set_value();
   EXPECT_EQ(fired.load(), 1);
-  // Late continuation on a ready future runs immediately.
-  f.state()->add_continuation([&] { fired.fetch_add(1); });
+  // Late link on a ready state fires immediately.
+  detail::Continuation late{bump, &fired};
+  f.state()->add_continuation(late);
   EXPECT_EQ(fired.load(), 2);
+}
+
+TEST(Future, LinksFireInRegistrationOrder) {
+  promise<void> p;
+  auto f = p.get_shared_future();
+  struct Probe {
+    std::vector<int>* order;
+    int id;
+  };
+  constexpr int kLinks = 9;
+  std::vector<int> order;
+  order.reserve(kLinks);
+  std::array<Probe, kLinks> probes{};
+  std::array<detail::Continuation, kLinks> links{};
+  for (int i = 0; i < kLinks; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    probes[k] = {&order, i};
+    links[k].fire = [](detail::Continuation& link) noexcept {
+      const auto* probe = static_cast<const Probe*>(link.context);
+      probe->order->push_back(probe->id);
+    };
+    links[k].context = &probes[k];
+    f.state()->add_continuation(links[k]);
+  }
+  EXPECT_TRUE(order.empty());
+  p.set_value();
+  std::vector<int> expected(kLinks);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(Future, HelperlessGetWakesPlainThreads) {
+  Scheduler s(cfg(2));
+  promise<void> gate;
+  auto f = dataflow(s, unwrapping([] { return 42; }), gate.get_shared_future())
+               .share();
+  constexpr int kWaiters = 3;
+  std::array<std::atomic<int>, kWaiters> got{};
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < kWaiters; ++w) {
+    // No helper: these threads block on the state word itself.
+    waiters.emplace_back(
+        [&got, f, w] { got[static_cast<std::size_t>(w)] = f.get(); });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (const auto& g : got) EXPECT_EQ(g.load(), 0);
+  gate.set_value();
+  for (std::thread& t : waiters) t.join();
+  for (const auto& g : got) EXPECT_EQ(g.load(), 42);
+  s.wait_for_quiescence();
+}
+
+TEST(DataflowNode, TwoDependencyDataflowIsOneAllocation) {
+  Scheduler s(cfg(2));
+  promise<void> p1;
+  promise<void> p2;
+  const shared_future<void> f1 = p1.get_shared_future();
+  const shared_future<void> f2 = p2.get_shared_future();
+  std::atomic<bool> ran{false};
+  future<void> node;
+  std::size_t allocations = 0;
+  {
+    const AllocationCount count;
+    node = dataflow(s, unwrapping([&ran] { ran = true; }), f1, f2);
+    allocations = count.value();
+  }
+  EXPECT_EQ(allocations, 1u);
+  p1.set_value();
+  p2.set_value();
+  node.get();
+  EXPECT_TRUE(ran.load());
+  s.wait_for_quiescence();
+}
+
+TEST(DataflowNode, WideWhenAllIsAtMostTwoAllocations) {
+  // The Lanczos reduce shape: one join over a producer per block row.
+  Scheduler s(cfg(2));
+  std::vector<promise<void>> promises(48);
+  std::vector<shared_future<void>> futs;
+  futs.reserve(promises.size());
+  for (auto& p : promises) futs.push_back(p.get_shared_future());
+  future<void> all;
+  std::size_t allocations = 0;
+  {
+    const AllocationCount count;
+    all = when_all(s, std::move(futs));
+    allocations = count.value();
+  }
+  EXPECT_LE(allocations, 2u); // the node plus one link array
+  EXPECT_FALSE(all.is_ready());
+  for (auto& p : promises) p.set_value();
+  all.get();
+  s.wait_for_quiescence();
 }
 
 TEST(Async, ReturnsResult) {
@@ -237,6 +392,67 @@ TEST(Dataflow, RandomDagMatchesSerialEvaluation) {
   }
 }
 
+/// The same property with 10,000 nodes created by 4 threads at once, each
+/// node depending on recent nodes another thread may still be creating, so
+/// link registration races completion on the same states.
+TEST(Dataflow, ConcurrentlyBuiltRandomDagMatchesSerialEvaluation) {
+  constexpr int kNodes = 10000;
+  constexpr int kBuilders = 4;
+  constexpr std::int64_t kMod = 1000003;
+  support::Xoshiro256 rng(77);
+  std::vector<std::vector<int>> deps(static_cast<std::size_t>(kNodes));
+  for (int i = 1; i < kNodes; ++i) {
+    const int ndeps = static_cast<int>(rng.below(6));
+    const auto window = static_cast<std::uint64_t>(std::min(i, 64));
+    for (int d = 0; d < ndeps; ++d) {
+      deps[static_cast<std::size_t>(i)].push_back(
+          i - 1 - static_cast<int>(rng.below(window)));
+    }
+  }
+  std::vector<std::int64_t> serial(static_cast<std::size_t>(kNodes));
+  for (int i = 0; i < kNodes; ++i) {
+    std::int64_t v = 1;
+    for (int d : deps[static_cast<std::size_t>(i)]) {
+      v += serial[static_cast<std::size_t>(d)];
+    }
+    serial[static_cast<std::size_t>(i)] = v % kMod;
+  }
+
+  Scheduler s(cfg(4));
+  std::vector<std::int64_t> values(static_cast<std::size_t>(kNodes), 0);
+  std::vector<shared_future<void>> done(static_cast<std::size_t>(kNodes));
+  std::vector<std::atomic<bool>> published(static_cast<std::size_t>(kNodes));
+  std::vector<std::thread> builders;
+  for (int b = 0; b < kBuilders; ++b) {
+    builders.emplace_back([&, b] {
+      for (int i = b; i < kNodes; i += kBuilders) {
+        const auto& my = deps[static_cast<std::size_t>(i)];
+        std::vector<shared_future<void>> my_deps;
+        for (int d : my) {
+          const auto k = static_cast<std::size_t>(d);
+          while (!published[k].load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          my_deps.push_back(done[k]);
+        }
+        auto body = [i, &values, &my] {
+          std::int64_t v = 1;
+          for (int d : my) v += values[static_cast<std::size_t>(d)];
+          values[static_cast<std::size_t>(i)] = v % kMod;
+        };
+        done[static_cast<std::size_t>(i)] =
+            dataflow(s, unwrapping(body), std::move(my_deps)).share();
+        published[static_cast<std::size_t>(i)].store(
+            true, std::memory_order_release);
+      }
+    });
+  }
+  for (std::thread& t : builders) t.join();
+  for (auto& f : done) f.get(&s);
+  s.wait_for_quiescence();
+  EXPECT_EQ(values, serial);
+}
+
 TEST(Faults, MidChainErrorSkipsSuccessorsAndSurfacesOnce) {
   Scheduler s(cfg(2));
   std::atomic<bool> ran_a{false};
@@ -332,6 +548,24 @@ TEST(Scheduler, StealStatsAccumulate) {
   EXPECT_EQ(count.load(), 400);
   // steals is machine-dependent; just verify the counter is readable.
   EXPECT_GE(s.stats().steals, 0u);
+}
+
+TEST(Scheduler, ExecutedCountsTasksRunByHelpers) {
+  Scheduler s(cfg(1));
+  // Park the only worker so the async task below can only run on the
+  // helping main thread.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  s.submit([&] {
+    started = true;
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+  auto f = async(s, [] { return 7; });
+  EXPECT_EQ(f.get(&s), 7);
+  release = true;
+  s.wait_for_quiescence();
+  EXPECT_EQ(s.stats().executed, 2u);
 }
 
 TEST(Task, SmallClosureIsStoredInline) {

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "obs/obs.hpp"
 #include "perf/profiles.hpp"
 #include "perf/trace.hpp"
 
@@ -59,6 +60,16 @@ TEST(TraceRecorder, OutOfRangeWorkerLandsInOverflowLane) {
   rec.clear();
   EXPECT_EQ(rec.overflow_count(), 0u);
   EXPECT_TRUE(rec.events().empty());
+}
+
+TEST(TraceRecorder, PublishedHelperEventLandsInOverflowLane) {
+  // Regression: a thread outside the pool (worker -1, e.g. the main thread
+  // helping inside future::get) must not share worker 0's unlocked lane.
+  TraceRecorder rec(2);
+  obs::publish_task("flux", ev(graph::KernelKind::kSpMM, -1, 0, 10), &rec);
+  obs::publish_task("flux", ev(graph::KernelKind::kXY, 0, 5, 15), &rec);
+  EXPECT_EQ(rec.overflow_count(), 1u);
+  EXPECT_EQ(rec.events().size(), 2u);
 }
 
 TEST(FlowGraph, CountsConcurrency) {

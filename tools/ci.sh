@@ -4,11 +4,12 @@
 # whole gauntlet in order:
 #
 #   tier1        configure + full build + complete ctest suite (JUnit out)
+#                + 20x repeat stress over the flux/solvers/cg labels
 #   chaos        kill/restart recovery e2e + journal-replay corruption fuzz
 #   numa         topology fixtures, pinned re-runs, steal-tier bench
 #   dispatch     scheduler/partition/quota tests + fifo-vs-fair bench
-#   asan         AddressSanitizer build + concurrency-heavy labels (+cg)
-#   tsan         ThreadSanitizer pass over obs + dispatcher structures
+#   asan         AddressSanitizer build + concurrency-heavy labels
+#   tsan         ThreadSanitizer pass over flux + obs + dispatcher structures
 #   bench        microbench exports (BENCH_kernels/obs/cg.json)
 #   format       git clang-format --diff over the changed files
 #   bench-check  compare BENCH_*.json medians against bench/baselines/
@@ -41,6 +42,10 @@ stage_tier1() {
   cmake --build "$build" -j "$jobs"
   ctest --test-dir "$build" --output-on-failure -j "$jobs" \
     --output-junit "$build/ctest-junit.xml"
+  # Stress: the labels that run the lock-free future/dataflow layer and the
+  # flux solver drivers, repeated so an intermittent race fails the gate.
+  ctest --test-dir "$build" --output-on-failure -j "$jobs" \
+    --repeat until-fail:20 -L "flux|solvers|cg"
 }
 
 stage_chaos() {
@@ -83,26 +88,32 @@ stage_dispatch() {
 }
 
 stage_asan() {
-  echo "== asan: build + svc/dispatch/faults/chaos/cg labels =="
+  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/solvers labels =="
   # cg joins the concurrency-heavy set: the SpTRSV DAG executor and the
   # flux CG driver juggle per-block futures whose lifetime bugs only ASan
   # would catch, and the cg label carries the randomized property tests
-  # (IC(0) pattern identity, SpTRSV-vs-dense, CG convergence).
+  # (IC(0) pattern identity, SpTRSV-vs-dense, CG convergence). flux and
+  # solvers cover the dataflow nodes (intrusive links, self-owned until
+  # submitted) and the flux Lanczos/LOBPCG drivers built on them.
   cmake -B "$asan_build" -S "$repo" -DSTS_SANITIZE=address \
     -DSTS_BUILD_BENCH=OFF
   cmake --build "$asan_build" -j "$jobs"
   ctest --test-dir "$asan_build" --output-on-failure -j "$jobs" \
-    -L "svc|dispatch|faults|chaos|cg"
+    -L "svc|dispatch|faults|chaos|cg|flux|solvers"
 }
 
 stage_tsan() {
-  echo "== tsan: build + metric/trace/profiler race checks =="
-  # Scoped to the obs primitives: the hot/cold histogram snapshot, the job
-  # trace ring, and the sampling profiler are the hand-rolled atomics where
-  # TSan has teeth. The OpenMP runtimes are excluded — libgomp is not
-  # TSan-instrumented and drowns real reports in false positives.
+  echo "== tsan: build + flux/metric/trace/profiler race checks =="
+  # Scoped to the hand-rolled atomics where TSan has teeth: the whole flux
+  # runtime (work-stealing rings, the lock-free future state word, the
+  # dataflow nodes' countdowns and links), the hot/cold histogram
+  # snapshot, the job trace ring, and the sampling profiler. The OpenMP
+  # runtimes are excluded — libgomp is not TSan-instrumented and drowns
+  # real reports in false positives; flux_test links only sts_flux.
   cmake -B "$tsan_build" -S "$repo" -DSTS_SANITIZE=thread \
     -DSTS_BUILD_BENCH=OFF
+  cmake --build "$tsan_build" -j "$jobs" --target flux_test
+  "$tsan_build/tests/flux_test"
   cmake --build "$tsan_build" -j "$jobs" --target obs_test
   "$tsan_build/tests/obs_test" \
     --gtest_filter='Registry.*:Histogram.*:Prometheus.*:Profiler.*:JobTrace.*'
