@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) of the kernel bodies the solvers are
-// built from: dense gemm / gemm_tn on block shapes, CSR vs CSB SpMV/SpMM
+// built from: dense gemm / gemm_tn on block shapes and on the one-column
+// Lanczos shapes, CSR vs CSB SpMV/SpMM
 // (including the packed row-segmented CSB layout against an AoS replica of
 // the former layout), and CSB construction cost. Results are exported to
 // BENCH_kernels.json (see bench_json.hpp).
@@ -47,6 +48,50 @@ void BM_GemmTn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows * n * n * 2);
 }
 BENCHMARK(BM_GemmTn)->Arg(1024)->Arg(4096)->Arg(16384);
+
+// The Lanczos Gram-Schmidt shapes: one 418-row block of a 61-column basis
+// Q against one column, as XY (z -= Q proj) and XTY (proj = Q^T z) run it
+// per task. These take the one-column gemm/gemm_tn paths; bytes_per_second
+// counts the Q block, the operand that dominates the traffic.
+constexpr la::index_t kLanczosRows = 418;
+constexpr la::index_t kLanczosCols = 61;
+
+void BM_GemvLanczos(benchmark::State& state) {
+  la::DenseMatrix q(kLanczosRows, kLanczosCols);
+  la::DenseMatrix proj(kLanczosCols, 1);
+  la::DenseMatrix z(kLanczosRows, 1);
+  support::Xoshiro256 rng(5);
+  q.fill_random(rng);
+  proj.fill_random(rng);
+  z.fill_random(rng);
+  for (auto _ : state) {
+    la::gemm(-1.0, q.view(), proj.view(), 1.0, z.view());
+    benchmark::DoNotOptimize(z.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kLanczosRows * kLanczosCols *
+                          2);
+  state.SetBytesProcessed(state.iterations() * kLanczosRows * kLanczosCols *
+                          static_cast<std::int64_t>(sizeof(double)));
+}
+BENCHMARK(BM_GemvLanczos);
+
+void BM_GemvTLanczos(benchmark::State& state) {
+  la::DenseMatrix q(kLanczosRows, kLanczosCols);
+  la::DenseMatrix z(kLanczosRows, 1);
+  la::DenseMatrix proj(kLanczosCols, 1);
+  support::Xoshiro256 rng(6);
+  q.fill_random(rng);
+  z.fill_random(rng);
+  for (auto _ : state) {
+    la::gemm_tn(1.0, q.view(), z.view(), 0.0, proj.view());
+    benchmark::DoNotOptimize(proj.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kLanczosRows * kLanczosCols *
+                          2);
+  state.SetBytesProcessed(state.iterations() * kLanczosRows * kLanczosCols *
+                          static_cast<std::int64_t>(sizeof(double)));
+}
+BENCHMARK(BM_GemvTLanczos);
 
 struct SpmvFixture {
   sparse::Csr csr;

@@ -320,7 +320,8 @@ void Program::spmm_reduction_based(DataId x, DataId y) {
   }
 }
 
-void Program::xy(DataId x, DataId z, DataId y, double alpha, double beta) {
+void Program::xy(DataId x, DataId z, DataId y, double alpha, double beta,
+                 const index_t* active) {
   la::DenseMatrix* xm = record(x).matrix;
   la::DenseMatrix* zm = record(z).matrix;
   la::DenseMatrix* ym = record(y).matrix;
@@ -339,8 +340,9 @@ void Program::xy(DataId x, DataId z, DataId y, double alpha, double beta) {
                                          : Access::Mode::kReadWrite)};
     const index_t r0 = p * a_->block_size();
     const index_t nr = piece_rows(p);
-    t.body = [xm, zm, ym, r0, nr, alpha, beta] {
-      la::gemm(alpha, xm->row_block(r0, nr), zm->view(), beta,
+    t.body = [xm, zm, ym, r0, nr, alpha, beta, active] {
+      const index_t w = active != nullptr ? *active : xm->cols();
+      la::gemm(alpha, xm->leading_cols(r0, nr, w), zm->row_block(0, w), beta,
                ym->row_block(r0, nr));
     };
     const DataPiece reads[2] = {{x, static_cast<std::int32_t>(p)}, {z, -1}};
@@ -350,7 +352,7 @@ void Program::xy(DataId x, DataId z, DataId y, double alpha, double beta) {
   ++phase_;
 }
 
-void Program::xty(DataId x, DataId y, DataId p_out) {
+void Program::xty(DataId x, DataId y, DataId p_out, const index_t* active) {
   la::DenseMatrix* xm = record(x).matrix;
   la::DenseMatrix* ym = record(y).matrix;
   la::DenseMatrix* pm = record(p_out).matrix;
@@ -377,10 +379,11 @@ void Program::xty(DataId x, DataId y, DataId p_out) {
                    Access::Mode::kWrite}};
     const index_t r0 = p * a_->block_size();
     const index_t nr = piece_rows(p);
-    t.body = [xm, ym, partm, r0, nr, p, pr, pc] {
-      la::MatrixView out{partm->data() + p * pr * pc, pr, pc, pc};
-      la::gemm_tn(1.0, xm->row_block(r0, nr), ym->row_block(r0, nr), 0.0,
-                  out);
+    t.body = [xm, ym, partm, r0, nr, p, pr, pc, active] {
+      const index_t w = active != nullptr ? *active : pr;
+      la::MatrixView out{partm->data() + p * pr * pc, w, pc, pc};
+      la::gemm_tn(1.0, xm->leading_cols(r0, nr, w), ym->row_block(r0, nr),
+                  0.0, out);
     };
     const DataPiece reads[2] = {{x, static_cast<std::int32_t>(p)},
                                 {y, static_cast<std::int32_t>(p)}};
@@ -398,13 +401,14 @@ void Program::xty(DataId x, DataId y, DataId p_out) {
                               sizeof(double),
                           Access::Mode::kRead});
   const index_t np = np_;
-  red.body = [partm, pm, np, pr, pc] {
+  red.body = [partm, pm, np, pr, pc, active] {
+    const index_t w = active != nullptr ? *active : pr;
     for (index_t i = 0; i < pr; ++i) {
       for (index_t j = 0; j < pc; ++j) pm->at(i, j) = 0.0;
     }
     for (index_t p = 0; p < np; ++p) {
-      la::ConstMatrixView part{partm->data() + p * pr * pc, pr, pc, pc};
-      la::axpy(1.0, part, pm->view());
+      la::ConstMatrixView part{partm->data() + p * pr * pc, w, pc, pc};
+      la::axpy(1.0, part, pm->row_block(0, w));
     }
   };
   const DataPiece reads[1] = {{partial, -1}};

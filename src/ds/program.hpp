@@ -60,12 +60,17 @@ public:
   /// y = A * x. Works for any column count including 1 (SpMV).
   void spmm(DataId x, DataId y);
 
-  /// y = alpha * x * z + beta * y, z small (x.cols x y.cols).
+  /// y = alpha * x * z + beta * y, z small (x.cols x y.cols). With
+  /// `active`, only the leading *active columns of x (rows of z) are read;
+  /// the width is read at execution time, like copy_into_column's column,
+  /// so one graph serves a Lanczos basis that grows every iteration.
   void xy(DataId x, DataId z, DataId y, double alpha = 1.0,
-          double beta = 0.0);
+          double beta = 0.0, const index_t* active = nullptr);
 
   /// p = x^T * y via per-piece partials and a final reduce task (Fig. 2).
-  void xty(DataId x, DataId y, DataId p);
+  /// With `active`, only the leading *active columns of x are read: p's
+  /// first *active rows get the product and the rest are zeroed.
+  void xty(DataId x, DataId y, DataId p, const index_t* active = nullptr);
 
   /// y += alpha * x (block vectors of identical shape).
   void axpy(double alpha, DataId x, DataId y);

@@ -15,12 +15,14 @@
 namespace sts::la {
 
 /// C(m x n) = alpha * A(m x k) * B(k x n) + beta * C. Views may alias only
-/// if A/B do not overlap C.
+/// if A/B do not overlap C. n == 1 with a unit-stride B takes a vectorized
+/// matrix-vector path.
 void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
           MatrixView c);
 
 /// C(k x n) = alpha * A(m x k)^T * B(m x n) + beta * C. This is the paper's
 /// XTY kernel body: a k x n partial inner product from one row block.
+/// n == 1 with a unit-stride C takes a vectorized matrix-vector path.
 void gemm_tn(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
              MatrixView c);
 

@@ -108,6 +108,14 @@ public:
     return {buf_.data() + r0 * cols_, nr, cols_, cols_};
   }
 
+  /// Rows [r0, r0+nr) of the leading `nc` columns (a strided view).
+  [[nodiscard]] ConstMatrixView leading_cols(index_t r0, index_t nr,
+                                             index_t nc) const {
+    STS_EXPECTS(r0 >= 0 && nr >= 0 && r0 + nr <= rows_);
+    STS_EXPECTS(nc >= 0 && nc <= cols_);
+    return {buf_.data() + r0 * cols_, nr, nc, cols_};
+  }
+
   [[nodiscard]] std::span<double> flat() noexcept {
     return {buf_.data(), buf_.size()};
   }

@@ -47,8 +47,9 @@ bool accept_iteration(double alpha, double beta, std::vector<double>& alphas,
 }
 
 /// Buffers shared by every version. Q holds the full Krylov basis as an
-/// m x (k+1) block vector (unused columns stay zero so each iteration's
-/// task graph has identical shape).
+/// m x (k+1) block vector. Iteration i orthogonalizes against only the
+/// filled columns [0, i] (proj's first i + 1 rows); the unused columns stay
+/// zero and are never read, and the task graphs keep one shape.
 struct State {
   index_t m = 0;
   index_t cols = 0; // k + 1
@@ -191,9 +192,12 @@ LanczosResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb, int k,
     } else {
       bsp::spmv(csb, s.q.flat(), s.z.flat());
     }
-    bsp::xty(s.Q.view(), s.z.view(), s.proj.view(), chunk);
+    const index_t active = i + 1;
+    const la::ConstMatrixView basis = s.Q.leading_cols(0, s.m, active);
+    const la::MatrixView coef = s.proj.row_block(0, active);
+    bsp::xty(basis, s.z.view(), coef, chunk);
     const double alpha = s.proj.at(i, 0);
-    bsp::xy(s.Q.view(), s.proj.view(), s.z.view(), chunk, -1.0, 1.0);
+    bsp::xy(basis, coef, s.z.view(), chunk, -1.0, 1.0);
     const double beta = std::sqrt(bsp::dot(s.z.flat(), s.z.flat()));
     iter.metric("alpha", alpha);
     iter.metric("beta", beta);
@@ -233,7 +237,8 @@ LanczosResult run_ds(const sparse::Csb& csb, int k,
   SolverStatus status = SolverStatus::kOk;
   const int start = apply_restore(options, s, alphas, betas);
   const int every = ckpt::effective_every(options.ckpt_every);
-  // Column of Q written by the running iteration.
+  // Column of Q written by the running iteration; it is also the number of
+  // filled columns that iteration's XTY/XY read.
   index_t cur_col = static_cast<index_t>(start) + 1;
 
   ds::Program prog(&csb, {.skip_empty_blocks = options.skip_empty_blocks,
@@ -252,10 +257,10 @@ LanczosResult run_ds(const sparse::Csb& csb, int k,
 
   IterationTiming timing;
   const support::Timer build_timer;
-  prog.spmm(qid, zid);                    // z = A q
-  prog.xty(Qid, zid, projid);             // proj = Q^T z
-  prog.xy(Qid, projid, zid, -1.0, 1.0);   // z -= Q proj
-  prog.dot(zid, zid, b2id);               // beta2 = z . z
+  prog.spmm(qid, zid);                            // z = A q
+  prog.xty(Qid, zid, projid, &cur_col);           // proj = Q^T z
+  prog.xy(Qid, projid, zid, -1.0, 1.0, &cur_col); // z -= Q proj
+  prog.dot(zid, zid, b2id);                       // beta2 = z . z
   prog.small_task(
       graph::KernelKind::kNorm,
       [beta2, beta] { *beta = std::max(std::sqrt(*beta2), kBreakdownFloor); },
@@ -393,7 +398,9 @@ LanczosResult run_flux(const sparse::Csb& csb, int k,
       }
     }
 
-    // proj = Q^T z: per-piece partials, then a reduction task.
+    // proj = Q^T z over the filled columns [0, i]: per-piece partials, then
+    // a reduction task.
+    const index_t active = i + 1;
     std::vector<Fut> pp(static_cast<std::size_t>(np));
     la::DenseMatrix* ppart = &proj_part;
     for (index_t p = 0; p < np; ++p) {
@@ -401,10 +408,10 @@ LanczosResult run_flux(const sparse::Csb& csb, int k,
       const index_t nr = rows_in(p);
       auto body = traced(graph::KernelKind::kXTY,
                          static_cast<std::int32_t>(p), [Q, z, ppart, r0, nr,
-                                                        p] {
+                                                        p, active] {
                            la::MatrixView out{ppart->data() + p * ppart->cols(),
-                                              ppart->cols(), 1, 1};
-                           la::gemm_tn(1.0, Q->row_block(r0, nr),
+                                              active, 1, 1};
+                           la::gemm_tn(1.0, Q->leading_cols(r0, nr, active),
                                        z->row_block(r0, nr), 0.0, out);
                          });
       pp[static_cast<std::size_t>(p)] =
@@ -414,17 +421,16 @@ LanczosResult run_flux(const sparse::Csb& csb, int k,
               .share();
     }
     la::DenseMatrix* projp = proj;
-    const index_t kq = s.cols;
     Fut proj_f =
         flux::dataflow(sched,
                        flux::unwrapping(traced(
                            graph::KernelKind::kReduce, -1,
-                           [ppart, projp, np, kq] {
-                             for (index_t c = 0; c < kq; ++c) {
+                           [ppart, projp, np, active] {
+                             for (index_t c = 0; c < active; ++c) {
                                projp->at(c, 0) = 0.0;
                              }
                              for (index_t p = 0; p < np; ++p) {
-                               for (index_t c = 0; c < kq; ++c) {
+                               for (index_t c = 0; c < active; ++c) {
                                  projp->at(c, 0) +=
                                      ppart->at(p, c);
                                }
@@ -438,9 +444,10 @@ LanczosResult run_flux(const sparse::Csb& csb, int k,
       const index_t r0 = p * b;
       const index_t nr = rows_in(p);
       auto body = traced(graph::KernelKind::kXY, static_cast<std::int32_t>(p),
-                         [Q, z, projp, r0, nr] {
-                           la::gemm(-1.0, Q->row_block(r0, nr), projp->view(),
-                                    1.0, z->row_block(r0, nr));
+                         [Q, z, projp, r0, nr, active] {
+                           la::gemm(-1.0, Q->leading_cols(r0, nr, active),
+                                    projp->row_block(0, active), 1.0,
+                                    z->row_block(r0, nr));
                          });
       Fut f = flux::dataflow_hint(sched, domain_of(p), flux::unwrapping(body),
                                   pp[static_cast<std::size_t>(p)], proj_f)
@@ -679,16 +686,18 @@ LanczosResult run_rgt(const sparse::Csb& csb, int k,
       }
     }
 
-    // proj = Q^T z (partials via index launch, then a reduce task).
+    // proj = Q^T z over the filled columns [0, i] (partials via index
+    // launch, then a reduce task).
+    const index_t active = i + 1;
     rt.index_launch(static_cast<std::int32_t>(np), [&](std::int32_t p) {
       const index_t r0 = static_cast<index_t>(p) * b;
       const index_t nr = rows_in(p);
       return TaskLaunch{
           traced(graph::KernelKind::kXTY, p,
-                 [Q, z, ppart, r0, nr, p](rgt::TaskContext&) {
+                 [Q, z, ppart, r0, nr, p, active](rgt::TaskContext&) {
                    la::MatrixView out{ppart->data() + p * ppart->cols(),
-                                      ppart->cols(), 1, 1};
-                   la::gemm_tn(1.0, Q->row_block(r0, nr),
+                                      active, 1, 1};
+                   la::gemm_tn(1.0, Q->leading_cols(r0, nr, active),
                                z->row_block(r0, nr), 0.0, out);
                  }),
           {{rQ, p, Privilege::kRead},
@@ -697,12 +706,12 @@ LanczosResult run_rgt(const sparse::Csb& csb, int k,
           "xty"};
     });
     rt.execute({traced(graph::KernelKind::kReduce, -1,
-                       [ppart, proj, np, kq](rgt::TaskContext&) {
-                         for (index_t c = 0; c < kq; ++c) {
+                       [ppart, proj, np, active](rgt::TaskContext&) {
+                         for (index_t c = 0; c < active; ++c) {
                            proj->at(c, 0) = 0.0;
                          }
                          for (index_t p = 0; p < np; ++p) {
-                           for (index_t c = 0; c < kq; ++c) {
+                           for (index_t c = 0; c < active; ++c) {
                              proj->at(c, 0) += ppart->at(p, c);
                            }
                          }
@@ -717,8 +726,9 @@ LanczosResult run_rgt(const sparse::Csb& csb, int k,
       const index_t nr = rows_in(p);
       return TaskLaunch{
           traced(graph::KernelKind::kXY, p,
-                 [Q, z, proj, r0, nr](rgt::TaskContext&) {
-                   la::gemm(-1.0, Q->row_block(r0, nr), proj->view(), 1.0,
+                 [Q, z, proj, r0, nr, active](rgt::TaskContext&) {
+                   la::gemm(-1.0, Q->leading_cols(r0, nr, active),
+                            proj->row_block(0, active), 1.0,
                             z->row_block(r0, nr));
                  }),
           {{rQ, p, Privilege::kRead},

@@ -69,7 +69,7 @@ void Server::start() {
     throw support::Error("listen " + path_ + ": " + std::strerror(err));
   }
   stop_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
 void Server::stop() {
@@ -77,14 +77,16 @@ void Server::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes the blocked accept(); close alone is not reliable for
+  // that on all platforms. The fd is closed only after the accept thread
+  // has exited, so its number cannot be reused while accept() may still
+  // run on it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() wakes the blocked accept(); close alone is not reliable
-    // for that on all platforms.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::unique_ptr<Conn>> conns;
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);
@@ -107,9 +109,9 @@ void Server::reap_finished_locked() {
   }
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   while (!stop_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (stop_.load(std::memory_order_acquire)) return;

@@ -56,7 +56,9 @@ private:
     std::atomic<bool> done{false};
   };
 
-  void accept_loop();
+  /// Runs on the accept thread with the listener it was started with;
+  /// listen_fd_ itself belongs to the start()/stop() caller.
+  void accept_loop(int listen_fd);
   void handle_connection(int fd);
   [[nodiscard]] wire::Json dispatch(const wire::Json& request);
   void reap_finished_locked();

@@ -221,6 +221,59 @@ TEST_P(ProgramExecModes, VectorKernels) {
   }
 }
 
+// With an `active` width, XTY/XY read only the leading columns of the
+// basis: columns past it hold NaN here, and the results must still be
+// finite and match la::gemm_tn / la::gemm on the prefix. The width is read
+// at execution time, so one graph serves every width.
+TEST_P(ProgramExecModes, ActiveWidthReadsOnlyLeadingColumns) {
+  ProgramFixture f(16);
+  const index_t m = f.csb.rows();
+  const index_t cols = 7;
+  DenseMatrix basis0(m, cols);
+  DenseMatrix basis(m, cols);
+  DenseMatrix z(m, 1);
+  DenseMatrix z0(m, 1);
+  DenseMatrix proj(cols, 1);
+  support::Xoshiro256 rng(9);
+  basis0.fill_random(rng);
+  z0.fill_random(rng);
+
+  index_t active = 0;
+  Program prog(&f.csb, {});
+  const DataId bid = prog.vec("basis", &basis);
+  const DataId zid = prog.vec("z", &z);
+  const DataId pid = prog.small("proj", &proj);
+  prog.xty(bid, zid, pid, &active);           // proj = basis^T z
+  prog.xy(bid, pid, zid, -1.0, 1.0, &active); // z -= basis proj
+  const graph::Tdg g = prog.build();
+
+  for (const index_t w : {index_t{3}, index_t{5}}) {
+    la::copy(basis0.view(), basis.view());
+    for (index_t r = 0; r < m; ++r) {
+      for (index_t c = w; c < cols; ++c) basis.at(r, c) = std::nan("");
+    }
+    la::copy(z0.view(), z.view());
+    proj.fill(std::nan(""));
+    active = w;
+    execute(g, {.mode = GetParam(), .trace = nullptr});
+
+    const la::ConstMatrixView prefix = basis.leading_cols(0, m, w);
+    DenseMatrix proj_ref(w, 1);
+    la::gemm_tn(1.0, prefix, z0.view(), 0.0, proj_ref.view());
+    DenseMatrix z_ref = z0.clone();
+    la::gemm(-1.0, prefix, proj_ref.view(), 1.0, z_ref.view());
+    for (index_t c = 0; c < cols; ++c) {
+      ASSERT_TRUE(std::isfinite(proj.at(c, 0))) << "w=" << w << " c=" << c;
+      const double want = c < w ? proj_ref.at(c, 0) : 0.0;
+      ASSERT_NEAR(proj.at(c, 0), want, 1e-10) << "w=" << w << " c=" << c;
+    }
+    for (index_t r = 0; r < m; ++r) {
+      ASSERT_TRUE(std::isfinite(z.at(r, 0))) << "w=" << w << " r=" << r;
+      ASSERT_NEAR(z.at(r, 0), z_ref.at(r, 0), 1e-10) << "w=" << w;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, ProgramExecModes,
                          ::testing::Values(ExecMode::kSerial,
                                            ExecMode::kOmpTasks));

@@ -102,7 +102,13 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{16, 8, 16, -1.0, 1.0},
                       GemmCase{33, 7, 12, 2.5, 0.5},
                       GemmCase{64, 1, 64, 1.0, 1.0},
-                      GemmCase{10, 48, 10, 0.5, 0.0}));
+                      GemmCase{10, 48, 10, 0.5, 0.0},
+                      // One column (the Lanczos XY shape): odd k, every
+                      // beta branch of the vectorized path.
+                      GemmCase{418, 1, 61, -1.0, 1.0},
+                      GemmCase{418, 1, 61, -1.0, 0.0},
+                      GemmCase{37, 1, 61, -1.0, 0.5},
+                      GemmCase{5, 1, 1, 2.0, 0.5}));
 
 class GemmTnTest : public ::testing::TestWithParam<GemmCase> {};
 
@@ -136,7 +142,88 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GemmCase{4, 4, 4, 1.0, 0.0},
                       GemmCase{100, 8, 8, 1.0, 0.0},
                       GemmCase{77, 5, 9, -1.0, 1.0},
-                      GemmCase{12, 16, 1, 1.0, 0.5}));
+                      GemmCase{12, 16, 1, 1.0, 0.5},
+                      // One column (the Lanczos XTY shape).
+                      GemmCase{418, 1, 61, -1.0, 0.0},
+                      GemmCase{418, 1, 61, -1.0, 1.0},
+                      GemmCase{37, 1, 61, -1.0, 0.5},
+                      GemmCase{9, 1, 3, 1.0, 0.0}));
+
+// Strided one-column operands must take the generic loops: B (gemm) or C
+// (gemm_tn) is a column of a wider matrix, so its elements are ld apart.
+TEST(Blas, StridedOneColumnOperandsUseTheGenericPath) {
+  const index_t m = 29;
+  const index_t k = 61;
+  const index_t ld = 4;
+  DenseMatrix a = random_matrix(m, k, 11);
+  DenseMatrix wide_b = random_matrix(k, ld, 12); // b = column 2
+  DenseMatrix b(k, 1);
+  for (index_t r = 0; r < k; ++r) b.at(r, 0) = wide_b.at(r, 2);
+
+  // gemm: C(m x 1) = -A b + 0.5 C, b strided.
+  DenseMatrix c = random_matrix(m, 1, 13);
+  DenseMatrix expected = naive_gemm(a, b);
+  for (index_t i = 0; i < m; ++i) {
+    expected.at(i, 0) = -expected.at(i, 0) + 0.5 * c.at(i, 0);
+  }
+  const ConstMatrixView b_col{wide_b.data() + 2, k, 1, ld};
+  gemm(-1.0, a.view(), b_col, 0.5, c.view());
+  for (index_t i = 0; i < m; ++i) {
+    ASSERT_NEAR(c.at(i, 0), expected.at(i, 0), 1e-12) << i;
+  }
+
+  // gemm_tn: C(k x 1) = -A^T y + C, C strided inside a k x ld matrix
+  // whose other columns must stay untouched.
+  DenseMatrix y = random_matrix(m, 1, 14);
+  DenseMatrix wide_c = random_matrix(k, ld, 15);
+  DenseMatrix before = wide_c.clone();
+  DenseMatrix at(k, m);
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < k; ++j) at.at(j, i) = a.at(i, j);
+  }
+  const DenseMatrix aty = naive_gemm(at, y);
+  gemm_tn(-1.0, a.view(), y.view(), 1.0,
+          MatrixView{wide_c.data() + 1, k, 1, ld});
+  for (index_t i = 0; i < k; ++i) {
+    for (index_t j = 0; j < ld; ++j) {
+      const double want =
+          j == 1 ? before.at(i, j) - aty.at(i, 0) : before.at(i, j);
+      ASSERT_NEAR(wide_c.at(i, j), want, 1e-12) << i << "," << j;
+    }
+  }
+}
+
+// beta == 0 means C is not read, on the one-column paths too: garbage
+// (NaN) in C must not leak into the result.
+TEST(Blas, OneColumnBetaZeroIgnoresPriorContents) {
+  DenseMatrix a = random_matrix(17, 61, 16);
+  DenseMatrix b = random_matrix(61, 1, 17);
+  DenseMatrix c(17, 1);
+  c.fill(std::nan(""));
+  gemm(1.0, a.view(), b.view(), 0.0, c.view());
+  const DenseMatrix ab = naive_gemm(a, b);
+  for (index_t i = 0; i < 17; ++i) ASSERT_NEAR(c.at(i, 0), ab.at(i, 0), 1e-12);
+
+  DenseMatrix y = random_matrix(17, 1, 18);
+  DenseMatrix p(61, 1);
+  p.fill(std::nan(""));
+  gemm_tn(1.0, a.view(), y.view(), 0.0, p.view());
+  for (index_t j = 0; j < 61; ++j) {
+    double want = 0.0;
+    for (index_t r = 0; r < 17; ++r) want += a.at(r, j) * y.at(r, 0);
+    ASSERT_NEAR(p.at(j, 0), want, 1e-12) << j;
+  }
+}
+
+TEST(DenseMatrix, LeadingColsViewsAColumnPrefix) {
+  DenseMatrix m = random_matrix(6, 5, 19);
+  const ConstMatrixView v = m.leading_cols(2, 3, 2);
+  EXPECT_EQ(v.rows, 3);
+  EXPECT_EQ(v.cols, 2);
+  EXPECT_EQ(v.ld, 5);
+  EXPECT_EQ(v.at(0, 0), m.at(2, 0));
+  EXPECT_EQ(v.at(2, 1), m.at(4, 1));
+}
 
 TEST(Blas, AxpyDotNormAgree) {
   DenseMatrix x = random_matrix(20, 3, 7);

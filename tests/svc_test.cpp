@@ -718,6 +718,43 @@ TEST(Server, MetricsOpServesPrometheusAndCsv) {
   server.stop();
 }
 
+// stop() racing the accept thread: a client connects over and over while
+// the server starts and stops 50 times. stop() must neither hang nor close
+// the listener under a running accept(). Only pings are sent, so no solver
+// (and no OpenMP region) runs: the test is safe to run under TSan.
+TEST(Server, StopWhileAcceptingIsClean) {
+  svc::Service service(test_config());
+  const std::string path = test_socket_path("stoprace");
+  std::atomic<bool> done{false};
+  std::atomic<int> pings{0};
+  std::thread client([&] {
+    while (!done.load()) {
+      try {
+        svc::Client c(path);
+        if (c.ping()) pings.fetch_add(1);
+      } catch (const std::exception&) {
+        // Refused or dropped by a stopping server: expected, retry.
+      }
+    }
+  });
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    svc::Server server(service, path);
+    server.start();
+    // Stop only once this cycle has served the client, so every stop()
+    // lands while the client is connecting.
+    const int before = pings.load();
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (pings.load() == before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_GT(pings.load(), before) << "cycle " << cycle;
+    server.stop();
+  }
+  done.store(true);
+  client.join();
+}
+
 TEST(Server, TraceOpReturnsPerJobChromeTrace) {
   svc::Service service(test_config());
   svc::Server server(service, test_socket_path("trace"));

@@ -10,6 +10,7 @@
 #   dispatch     scheduler/partition/quota tests + fifo-vs-fair bench
 #   asan         AddressSanitizer build + concurrency-heavy labels
 #   tsan         ThreadSanitizer pass over flux + obs + dispatcher structures
+#                + the svc server's start/stop path
 #   bench        microbench exports (BENCH_kernels/obs/cg.json)
 #   format       git clang-format --diff over the changed files
 #   bench-check  compare BENCH_*.json medians against bench/baselines/
@@ -124,6 +125,12 @@ stage_tsan() {
   cmake --build "$tsan_build" -j "$jobs" --target dispatch_test
   "$tsan_build/tests/dispatch_test" \
     --gtest_filter='FairQueueTest.*:DispatchPolicy.*:PartitionCpus.*:Carve.*'
+  # Server start/stop against a concurrently connecting client (the
+  # listener fd handoff between stop() and the accept thread). The test
+  # sends only pings, so it never enters an OpenMP region.
+  cmake --build "$tsan_build" -j "$jobs" --target svc_test
+  "$tsan_build/tests/svc_test" \
+    --gtest_filter='Server.StopWhileAcceptingIsClean'
 }
 
 stage_bench() {
