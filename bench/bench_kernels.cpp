@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the kernel bodies the solvers are
-// built from: dense gemm / gemm_tn on block shapes and on the one-column
-// Lanczos shapes, CSR vs CSB SpMV/SpMM
+// built from: dense gemm / gemm_tn on block shapes, on the LOBPCG task
+// shape and on the one-column Lanczos shapes, CSR vs CSB SpMV/SpMM
 // (including the packed row-segmented CSB layout against an AoS replica of
 // the former layout), and CSB construction cost. Results are exported to
 // BENCH_kernels.json (see bench_json.hpp).
@@ -92,6 +92,53 @@ void BM_GemvTLanczos(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof(double)));
 }
 BENCHMARK(BM_GemvTLanczos);
+
+// The LOBPCG block shapes: one 306-row block (the tuned block size on the
+// lobpcg-nuclear workload) of an 8-column block vector against an 8 x 8
+// small matrix, as XY (Y = X Z) and XTY (P = X^T Y) run it per task. These
+// take the fixed-width gemm/gemm_tn paths; bytes_per_second counts the two
+// block operands, which dominate the traffic.
+constexpr la::index_t kLobpcgRows = 306;
+constexpr la::index_t kLobpcgCols = 8;
+
+void lobpcg_counters(benchmark::State& state) {
+  state.SetItemsProcessed(state.iterations() * kLobpcgRows * kLobpcgCols *
+                          kLobpcgCols * 2);
+  state.SetBytesProcessed(state.iterations() * 2 * kLobpcgRows * kLobpcgCols *
+                          static_cast<std::int64_t>(sizeof(double)));
+}
+
+void BM_GemmLobpcg(benchmark::State& state) {
+  la::DenseMatrix x(kLobpcgRows, kLobpcgCols);
+  la::DenseMatrix z(kLobpcgCols, kLobpcgCols);
+  la::DenseMatrix y(kLobpcgRows, kLobpcgCols);
+  support::Xoshiro256 rng(7);
+  x.fill_random(rng);
+  z.fill_random(rng);
+  for (auto _ : state) {
+    la::gemm(1.0, x.view(), z.view(), 0.0, y.view());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  lobpcg_counters(state);
+}
+BENCHMARK(BM_GemmLobpcg);
+
+void BM_GemmTnLobpcg(benchmark::State& state) {
+  la::DenseMatrix x(kLobpcgRows, kLobpcgCols);
+  la::DenseMatrix y(kLobpcgRows, kLobpcgCols);
+  la::DenseMatrix p(kLobpcgCols, kLobpcgCols);
+  support::Xoshiro256 rng(8);
+  x.fill_random(rng);
+  y.fill_random(rng);
+  for (auto _ : state) {
+    la::gemm_tn(1.0, x.view(), y.view(), 0.0, p.view());
+    benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
+  }
+  lobpcg_counters(state);
+}
+BENCHMARK(BM_GemmTnLobpcg);
 
 struct SpmvFixture {
   sparse::Csr csr;

@@ -89,18 +89,20 @@ stage_dispatch() {
 }
 
 stage_asan() {
-  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/solvers labels =="
+  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/solvers/la labels =="
   # cg joins the concurrency-heavy set: the SpTRSV DAG executor and the
   # flux CG driver juggle per-block futures whose lifetime bugs only ASan
   # would catch, and the cg label carries the randomized property tests
   # (IC(0) pattern identity, SpTRSV-vs-dense, CG convergence). flux and
   # solvers cover the dataflow nodes (intrusive links, self-owned until
-  # submitted) and the flux Lanczos/LOBPCG drivers built on them.
+  # submitted) and the flux Lanczos/LOBPCG drivers built on them. la runs
+  # the dense kernels' row-remainder loops and strided column-slice views,
+  # where an out-of-bounds read would otherwise pass unnoticed.
   cmake -B "$asan_build" -S "$repo" -DSTS_SANITIZE=address \
     -DSTS_BUILD_BENCH=OFF
   cmake --build "$asan_build" -j "$jobs"
   ctest --test-dir "$asan_build" --output-on-failure -j "$jobs" \
-    -L "svc|dispatch|faults|chaos|cg|flux|solvers"
+    -L "svc|dispatch|faults|chaos|cg|flux|solvers|la"
 }
 
 stage_tsan() {
