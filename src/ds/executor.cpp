@@ -20,18 +20,6 @@ namespace sts::ds {
 
 namespace {
 
-/// Unique successor lists (the Tdg may carry duplicate edges).
-std::vector<std::vector<graph::TaskId>> unique_successors(
-    const graph::Tdg& g) {
-  std::vector<std::vector<graph::TaskId>> out(g.task_count());
-  for (std::size_t u = 0; u < g.task_count(); ++u) {
-    out[u] = g.successors(static_cast<graph::TaskId>(u));
-    std::sort(out[u].begin(), out[u].end());
-    out[u].erase(std::unique(out[u].begin(), out[u].end()), out[u].end());
-  }
-  return out;
-}
-
 void invoke_body(const graph::Task& task) {
   support::fault::check("ds:task");
   if (task.body) task.body();
@@ -80,17 +68,14 @@ void run_task(const graph::Tdg& g, graph::TaskId id,
   }
 }
 
-void execute_serial(const graph::Tdg& g, perf::TraceRecorder* trace) {
-  for (graph::TaskId id : g.depth_first_topological_order()) {
-    run_task(g, id, trace, 0);
-  }
+void execute_serial(const Schedule& s, perf::TraceRecorder* trace) {
+  for (graph::TaskId id : s.order) run_task(*s.graph, id, trace, 0);
 }
 
 #ifdef _OPENMP
 
 struct OmpContext {
-  const graph::Tdg* graph;
-  std::vector<std::vector<graph::TaskId>> succ;
+  const Schedule* schedule;
   std::unique_ptr<std::atomic<std::int32_t>[]> remaining;
   perf::TraceRecorder* trace;
   // Failure containment: the first exception is latched; a failed task does
@@ -106,7 +91,7 @@ struct OmpContext {
 void spawn_task(OmpContext& ctx, graph::TaskId id);
 
 void finish_task(OmpContext& ctx, graph::TaskId id) {
-  for (graph::TaskId s : ctx.succ[static_cast<std::size_t>(id)]) {
+  for (graph::TaskId s : ctx.schedule->succ[static_cast<std::size_t>(id)]) {
     if (ctx.remaining[static_cast<std::size_t>(s)].fetch_sub(
             1, std::memory_order_acq_rel) == 1) {
       ready_counter().add(1);
@@ -126,11 +111,11 @@ void spawn_task(OmpContext& ctx, graph::TaskId id) {
       obs::instant("ds:poisoned", "cancel",
                    "{\"task\":\"" +
                        support::json_escape(
-                           graph::task_label(c->graph->task(id))) +
+                           graph::task_label(c->schedule->graph->task(id))) +
                        "\"}");
     } else {
       try {
-        run_task(*c->graph, id, c->trace,
+        run_task(*c->schedule->graph, id, c->trace,
                  static_cast<unsigned>(omp_get_thread_num()));
         finish_task(*c, id);
       } catch (...) {
@@ -149,26 +134,23 @@ void spawn_task(OmpContext& ctx, graph::TaskId id) {
   }
 }
 
-void execute_omp(const graph::Tdg& g, perf::TraceRecorder* trace) {
+void execute_omp(const Schedule& s, perf::TraceRecorder* trace) {
   OmpContext ctx;
-  ctx.graph = &g;
-  ctx.succ = unique_successors(g);
+  ctx.schedule = &s;
   ctx.trace = trace;
-  const std::size_t n = g.task_count();
+  const std::size_t n = s.indeg.size();
   ctx.remaining = std::make_unique<std::atomic<std::int32_t>[]>(n);
-  const std::vector<std::int32_t> indeg = g.indegrees();
   for (std::size_t i = 0; i < n; ++i) {
-    ctx.remaining[i].store(indeg[i], std::memory_order_relaxed);
+    ctx.remaining[i].store(s.indeg[i], std::memory_order_relaxed);
   }
-  const std::vector<graph::TaskId> order = g.depth_first_topological_order();
 #pragma omp parallel
 #pragma omp single nowait
   {
     // Master spawns all initially-ready tasks in depth-first topological
     // order (DeepSparse's spawn policy); the rest are spawned by their
     // final predecessor as counters drain.
-    for (graph::TaskId id : order) {
-      if (indeg[static_cast<std::size_t>(id)] == 0) spawn_task(ctx, id);
+    for (graph::TaskId id : s.order) {
+      if (s.indeg[static_cast<std::size_t>(id)] == 0) spawn_task(ctx, id);
     }
   }
   // Implicit barrier of the parallel region waits for all spawned tasks —
@@ -182,20 +164,42 @@ void execute_omp(const graph::Tdg& g, perf::TraceRecorder* trace) {
 
 } // namespace
 
-void execute(const graph::Tdg& g, const ExecOptions& options) {
+Schedule prepare(const graph::Tdg& g) {
   STS_EXPECTS(g.is_acyclic());
+  Schedule s;
+  s.graph = &g;
+  s.succ.resize(g.task_count());
+  s.indeg.assign(g.task_count(), 0);
+  for (std::size_t u = 0; u < g.task_count(); ++u) {
+    std::vector<graph::TaskId>& out = s.succ[u];
+    out = g.successors(static_cast<graph::TaskId>(u));
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    for (graph::TaskId v : out) ++s.indeg[static_cast<std::size_t>(v)];
+  }
+  s.order = g.depth_first_topological_order();
+  return s;
+}
+
+void execute(const Schedule& schedule, const ExecOptions& options) {
+  STS_EXPECTS(schedule.graph != nullptr &&
+              schedule.order.size() == schedule.graph->task_count());
   switch (options.mode) {
     case ExecMode::kSerial:
-      execute_serial(g, options.trace);
+      execute_serial(schedule, options.trace);
       return;
     case ExecMode::kOmpTasks:
 #ifdef _OPENMP
-      execute_omp(g, options.trace);
+      execute_omp(schedule, options.trace);
 #else
-      execute_serial(g, options.trace);
+      execute_serial(schedule, options.trace);
 #endif
       return;
   }
+}
+
+void execute(const graph::Tdg& g, const ExecOptions& options) {
+  execute(prepare(g), options);
 }
 
 } // namespace sts::ds

@@ -91,38 +91,51 @@ Access Program::small_access(DataId id, Access::Mode mode) const {
 
 namespace {
 
-/// Distinct 64-byte lines of an n-column row-major *input* vector block
+/// Distinct 64-byte lines of an n-column row-major *input* vector piece
 /// gathered by a CSB block's column indices. Sparse CSB blocks gather only
 /// a few lines of their piece; charging the whole piece would overstate
 /// memory traffic by the piece/nnz ratio.
-std::uint64_t touched_input_lines(const sparse::Csb::BlockView& v,
-                                  index_t ncols) {
-  const std::uint64_t row_bytes =
-      static_cast<std::uint64_t>(ncols) * sizeof(double);
-  // Column indices are not globally sorted across row segments, so
-  // collect-and-dedup via a small scratch vector.
-  std::vector<std::uint64_t> lines;
-  lines.reserve(static_cast<std::size_t>(v.nnz));
-  std::uint64_t last = ~0ULL;
-  for (std::int64_t t = v.first; t < v.first + v.nnz; ++t) {
-    const std::uint64_t line =
-        static_cast<std::uint64_t>(v.col(t)) * row_bytes / 64;
-    if (line != last) {
-      lines.push_back(line);
-      last = line;
-    }
+///
+/// Column indices are not sorted across a block's row segments, so lines
+/// are deduplicated with one stamp per line of a piece: a line is new to
+/// the current block iff its stamp differs from the block's epoch. The
+/// stamps are reused across the blocks of one SpMM, which makes the count
+/// O(nnz) with no sort and no per-block allocation.
+class InputLineCounter {
+public:
+  InputLineCounter(index_t block_size, index_t ncols)
+      : row_bytes_(static_cast<std::uint64_t>(ncols) * sizeof(double)),
+        stamp_((static_cast<std::uint64_t>(block_size) * row_bytes_ + 63) /
+                   64,
+               0) {}
+
+  /// Call once per block task. The epoch cannot wrap: every call adds a
+  /// task, and a graph holds fewer than 2^31 (TaskId is 32-bit).
+  std::uint64_t count(const sparse::Csb::BlockView& v) {
+    ++epoch_;
+    return v.cols16 != nullptr ? count_lines(v.cols16 + v.first, v.nnz)
+                               : count_lines(v.cols32 + v.first, v.nnz);
   }
-  std::sort(lines.begin(), lines.end());
-  std::uint64_t count = 0;
-  last = ~0ULL;
-  for (std::uint64_t l : lines) {
-    if (l != last) {
-      ++count;
-      last = l;
+
+private:
+  // One loop per coordinate width, with a branch-free stamp update: the
+  // new/seen test is data-dependent and would mispredict.
+  template <typename Col>
+  std::uint64_t count_lines(const Col* cols, std::int64_t nnz) {
+    std::uint64_t distinct = 0;
+    for (std::int64_t t = 0; t < nnz; ++t) {
+      const std::uint64_t line =
+          static_cast<std::uint64_t>(cols[t]) * row_bytes_ / 64;
+      distinct += stamp_[line] != epoch_ ? 1 : 0;
+      stamp_[line] = epoch_;
     }
+    return distinct;
   }
-  return count;
-}
+
+  std::uint64_t row_bytes_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+};
 
 /// Distinct 64-byte lines of the *output* vector block written by a CSB
 /// block. Row segments are sorted by row, so a single pass suffices.
@@ -169,6 +182,7 @@ void Program::spmm_dependency_based(DataId x, DataId y) {
   STS_EXPECTS(xm != nullptr && ym != nullptr && xm->cols() == ym->cols());
   const index_t n = xm->cols();
   const KernelKind kind = n == 1 ? KernelKind::kSpMV : KernelKind::kSpMM;
+  InputLineCounter input_lines(a.block_size(), n);
 
   for (index_t bi = 0; bi < np_; ++bi) {
     Task zero;
@@ -195,7 +209,7 @@ void Program::spmm_dependency_based(DataId x, DataId y) {
       t.flops = 2.0 * static_cast<double>(bnnz) * static_cast<double>(n);
       const sparse::Csb::BlockView bv = a.block_view(bi, bj);
       Access xa = vec_access(x, bj, Access::Mode::kRead);
-      xa.stride_lines = stride_for(xa.bytes, touched_input_lines(bv, n));
+      xa.stride_lines = stride_for(xa.bytes, input_lines.count(bv));
       Access ya = vec_access(y, bi, Access::Mode::kReadWrite);
       ya.stride_lines = stride_for(ya.bytes, touched_output_lines(bv, n));
       t.accesses = {
@@ -224,6 +238,7 @@ void Program::spmm_reduction_based(DataId x, DataId y) {
   const index_t n = xm->cols();
   const KernelKind kind = n == 1 ? KernelKind::kSpMV : KernelKind::kSpMM;
   const std::int32_t nbuf = std::max(1, config_.spmm_buffers);
+  InputLineCounter input_lines(a.block_size(), n);
 
   // One full-size partial output vector per buffer (the memory cost the
   // paper's Fig. 7 highlights).
@@ -266,7 +281,7 @@ void Program::spmm_reduction_based(DataId x, DataId y) {
       t.flops = 2.0 * static_cast<double>(bnnz) * static_cast<double>(n);
       const sparse::Csb::BlockView bv = a.block_view(bi, bj);
       Access xa = vec_access(x, bj, Access::Mode::kRead);
-      xa.stride_lines = stride_for(xa.bytes, touched_input_lines(bv, n));
+      xa.stride_lines = stride_for(xa.bytes, input_lines.count(bv));
       Access ba = vec_access(bufs[r], bi, Access::Mode::kReadWrite);
       ba.stride_lines = stride_for(ba.bytes, touched_output_lines(bv, n));
       t.accesses = {

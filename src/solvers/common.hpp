@@ -166,7 +166,7 @@ void validate(const SolverOptions& options);
 
 struct IterationTiming {
   double total_seconds = 0.0;   // solver loop only (setup excluded)
-  double graph_build_seconds = 0.0; // ds only: TDG generation time
+  double graph_build_seconds = 0.0; // ds only: TDG build + ds::prepare
   int iterations = 0;
   [[nodiscard]] double per_iteration() const {
     return iterations > 0 ? total_seconds / iterations : 0.0;

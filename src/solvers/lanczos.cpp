@@ -268,6 +268,7 @@ LanczosResult run_ds(const sparse::Csb& csb, int k,
   prog.scale_into(zid, bid, /*reciprocal=*/true, qid); // q = z / beta
   prog.copy_into_column(qid, Qid, &cur_col);           // Q(:, col) = q
   const graph::Tdg graph = prog.build();
+  const ds::Schedule schedule = ds::prepare(graph);
   timing.graph_build_seconds = build_timer.seconds();
 
   const ds::ExecOptions exec{.mode = ds::ExecMode::kOmpTasks,
@@ -277,7 +278,7 @@ LanczosResult run_ds(const sparse::Csb& csb, int k,
   for (int i = start; i < k; ++i) {
     poll_cancel(options);
     obs::IterScope iter("lanczos.ds", i);
-    ds::execute(graph, exec);
+    ds::execute(schedule, exec);
     iter.metric("alpha", s.proj.at(i, 0));
     iter.metric("beta", s.beta);
     ++timing.iterations;

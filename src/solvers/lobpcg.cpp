@@ -484,6 +484,7 @@ LobpcgResult run_ds(const sparse::Csb& csb, int max_iterations,
   prog.copy(Pn, P);
   prog.copy(APn, AP);
   const graph::Tdg graph = prog.build();
+  const ds::Schedule schedule = ds::prepare(graph);
   timing.graph_build_seconds = build_timer.seconds();
 
   const ds::ExecOptions exec{.mode = ds::ExecMode::kOmpTasks,
@@ -492,7 +493,7 @@ LobpcgResult run_ds(const sparse::Csb& csb, int max_iterations,
   for (int it = start; it < max_iterations; ++it) {
     poll_cancel(options);
     obs::IterScope iter("lobpcg.ds", it);
-    ds::execute(graph, exec);
+    ds::execute(schedule, exec);
     note_iteration_metrics(iter, sm, s.n);
     ++timing.iterations;
     if (sm.converged >= s.n || sm.rr_failed || sm.nonfinite) break;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <set>
 #include <stdexcept>
 
 #include "ds/builder.hpp"
@@ -307,41 +309,173 @@ TEST(Program, TaskCountMatchesNonemptyBlocks) {
             np + f.csb.nonempty_blocks());
 }
 
-TEST(Executor, OmpMatchesSerialOnRandomGraphs) {
-  support::Xoshiro256 rng(55);
-  for (int trial = 0; trial < 5; ++trial) {
-    const int n = 100;
-    graph::Tdg g;
-    std::vector<std::atomic<int>*> order_box;
-    std::vector<int> finish_order(n, -1);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < n; ++i) {
+/// Reference for the stride of an SpMM task's x access: the distinct 64-byte
+/// lines of the n-column input piece that block (bi, bj) gathers, counted
+/// with a std::set, spread over the piece's lines.
+std::uint32_t reference_input_stride(const sparse::Csb& a, index_t bi,
+                                     index_t bj, index_t n,
+                                     std::uint64_t piece_bytes) {
+  const sparse::Csb::BlockView v = a.block_view(bi, bj);
+  const std::uint64_t row_bytes =
+      static_cast<std::uint64_t>(n) * sizeof(double);
+  std::set<std::uint64_t> lines;
+  for (std::int64_t t = v.first; t < v.first + v.nnz; ++t) {
+    lines.insert(static_cast<std::uint64_t>(v.col(t)) * row_bytes / 64);
+  }
+  const std::uint64_t piece_lines =
+      std::max<std::uint64_t>(1, piece_bytes / 64);
+  if (lines.empty()) return static_cast<std::uint32_t>(piece_lines);
+  return static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(1, piece_lines / lines.size()));
+}
+
+TEST(Program, SpmmStridesCountDistinctLines) {
+  struct Case {
+    const char* name;
+    sparse::Csb csb;
+    bool packed;
+  };
+  // 16-bit block coordinates, and a block size above 65536 (two blocks
+  // per dimension), which stores 32-bit coordinates.
+  const Case cases[] = {
+      {"fem3d/b64",
+       sparse::Csb::from_coo(sparse::gen_fem3d(12, 12, 12, 1, 9), 64), true},
+      {"banded/b65600",
+       sparse::Csb::from_coo(sparse::gen_banded_random(70000, 400, 0.005),
+                             65600),
+       false},
+  };
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.csb.packed_coords(), c.packed) << c.name;
+    const index_t m = c.csb.rows();
+    for (const index_t n : {index_t{1}, index_t{8}}) {
+      for (const bool dependency_based : {true, false}) {
+        SCOPED_TRACE(std::string(c.name) + " n=" + std::to_string(n) +
+                     (dependency_based ? " dependency" : " reduction"));
+        DenseMatrix x(m, n);
+        DenseMatrix y(m, n);
+        Program prog(&c.csb, {.skip_empty_blocks = true,
+                              .dependency_based_spmm = dependency_based,
+                              .spmm_buffers = 2});
+        const DataId xid = prog.vec("x", &x);
+        prog.spmm(xid, prog.vec("y", &y));
+        const graph::Tdg g = prog.build();
+        index_t checked = 0;
+        for (std::size_t id = 0; id < g.task_count(); ++id) {
+          const Task& t = g.task(static_cast<graph::TaskId>(id));
+          if (t.kind != KernelKind::kSpMV && t.kind != KernelKind::kSpMM) {
+            continue;
+          }
+          const auto xa = std::find_if(
+              t.accesses.begin(), t.accesses.end(), [&](const auto& acc) {
+                return acc.data_id == static_cast<std::uint32_t>(xid);
+              });
+          ASSERT_NE(xa, t.accesses.end());
+          EXPECT_EQ(xa->stride_lines,
+                    reference_input_stride(c.csb, t.bi, t.bj, n, xa->bytes))
+              << "block (" << t.bi << "," << t.bj << ")";
+          ++checked;
+        }
+        EXPECT_EQ(checked, c.csb.nonempty_blocks());
+      }
+    }
+  }
+}
+
+/// Random DAG of kTasks tasks, each with two forward edges (duplicates
+/// allowed); every body stamps the position in which it finished.
+struct RandomDag {
+  static constexpr int kTasks = 100;
+  graph::Tdg g;
+  std::vector<int> finish = std::vector<int>(kTasks, -1);
+  std::atomic<int> counter{0};
+
+  explicit RandomDag(support::Xoshiro256& rng) {
+    for (int i = 0; i < kTasks; ++i) {
       graph::Task t;
-      t.body = [&finish_order, &counter, i] {
-        finish_order[static_cast<std::size_t>(i)] = counter.fetch_add(1);
+      t.body = [this, i] {
+        finish[static_cast<std::size_t>(i)] = counter.fetch_add(1);
       };
       g.add_task(std::move(t));
     }
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < kTasks; ++i) {
       for (int rep = 0; rep < 2; ++rep) {
         const int j = i + 1 + static_cast<int>(rng.below(
-                                  static_cast<std::uint64_t>(n - i)));
-        if (j < n) {
+                                  static_cast<std::uint64_t>(kTasks - i)));
+        if (j < kTasks) {
           g.add_edge(static_cast<graph::TaskId>(i),
                      static_cast<graph::TaskId>(j));
         }
       }
     }
-    execute(g, {.mode = ExecMode::kOmpTasks, .trace = nullptr});
-    // Every task ran exactly once and dependencies were respected.
-    for (int i = 0; i < n; ++i) {
-      ASSERT_GE(finish_order[static_cast<std::size_t>(i)], 0);
+  }
+
+  void reset() {
+    std::fill(finish.begin(), finish.end(), -1);
+    counter = 0;
+  }
+
+  /// Every task ran exactly once, after all of its predecessors.
+  void expect_complete_run() const {
+    ASSERT_EQ(counter.load(), kTasks);
+    for (int i = 0; i < kTasks; ++i) {
+      ASSERT_GE(finish[static_cast<std::size_t>(i)], 0);
       for (graph::TaskId s : g.successors(static_cast<graph::TaskId>(i))) {
-        ASSERT_LT(finish_order[static_cast<std::size_t>(i)],
-                  finish_order[static_cast<std::size_t>(s)]);
+        ASSERT_LT(finish[static_cast<std::size_t>(i)],
+                  finish[static_cast<std::size_t>(s)]);
       }
     }
-    ASSERT_EQ(counter.load(), n);
+  }
+};
+
+TEST(Executor, OmpMatchesSerialOnRandomGraphs) {
+  support::Xoshiro256 rng(55);
+  for (int trial = 0; trial < 5; ++trial) {
+    RandomDag dag(rng);
+    execute(dag.g, {.mode = ExecMode::kOmpTasks, .trace = nullptr});
+    dag.expect_complete_run();
+  }
+}
+
+TEST(Executor, PreparedScheduleReplays) {
+  support::Xoshiro256 rng(55);
+  for (int trial = 0; trial < 5; ++trial) {
+    RandomDag dag(rng);
+    const Schedule schedule = prepare(dag.g);
+    EXPECT_EQ(schedule.graph, &dag.g);
+    EXPECT_EQ(schedule.order, dag.g.depth_first_topological_order());
+    EXPECT_EQ(schedule.indeg, dag.g.indegrees());
+    execute(dag.g, {.mode = ExecMode::kSerial, .trace = nullptr});
+    const std::vector<int> fresh = dag.finish;
+    for (int rep = 0; rep < 3; ++rep) {
+      dag.reset();
+      execute(schedule, {.mode = ExecMode::kSerial, .trace = nullptr});
+      ASSERT_EQ(dag.finish, fresh) << "serial replay " << rep;
+    }
+    for (int rep = 0; rep < 3; ++rep) {
+      dag.reset();
+      execute(schedule, {.mode = ExecMode::kOmpTasks, .trace = nullptr});
+      dag.expect_complete_run();
+    }
+  }
+  // Replays of a prepared SpMM program reproduce a fresh run bit for bit
+  // (each output piece accumulates along one dependency chain).
+  ProgramFixture f;
+  DenseMatrix x(f.csb.rows(), 4);
+  DenseMatrix y(f.csb.rows(), 4);
+  x.fill_random(rng);
+  Program prog(&f.csb, {});
+  prog.spmm(prog.vec("x", &x), prog.vec("y", &y));
+  const graph::Tdg g = prog.build();
+  execute(g, {.mode = ExecMode::kSerial, .trace = nullptr});
+  const std::vector<double> fresh(y.data(), y.data() + y.size());
+  const Schedule schedule = prepare(g);
+  for (const ExecMode mode : {ExecMode::kSerial, ExecMode::kOmpTasks}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      y.fill(-1.0);
+      execute(schedule, {.mode = mode, .trace = nullptr});
+      ASSERT_EQ(std::vector<double>(y.data(), y.data() + y.size()), fresh);
+    }
   }
 }
 
@@ -392,6 +526,25 @@ TEST(Executor, ReusableAfterFailure) {
   prog.spmm(prog.vec("x", &x), prog.vec("y", &y));
   EXPECT_NO_THROW(
       execute(prog.build(), {.mode = ExecMode::kOmpTasks, .trace = nullptr}));
+}
+
+TEST(Executor, PreparedScheduleReusableAfterFailure) {
+  support::Xoshiro256 rng(56);
+  RandomDag dag(rng);
+  const Schedule schedule = prepare(dag.g);
+  for (const ExecMode mode : {ExecMode::kSerial, ExecMode::kOmpTasks}) {
+    dag.reset();
+    {
+      support::fault::ScopedFault inject("ds:task:hit=2");
+      EXPECT_THROW(execute(schedule, {.mode = mode, .trace = nullptr}),
+                   support::TaskError);
+    }
+    EXPECT_LT(dag.counter.load(), RandomDag::kTasks);
+    // The shared Schedule is untouched by the failed replay.
+    dag.reset();
+    execute(schedule, {.mode = mode, .trace = nullptr});
+    dag.expect_complete_run();
+  }
 }
 
 TEST(Executor, InjectedFaultNamesFailingTask) {

@@ -89,7 +89,7 @@ stage_dispatch() {
 }
 
 stage_asan() {
-  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/solvers/la labels =="
+  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/solvers/la/ds/sim labels =="
   # cg joins the concurrency-heavy set: the SpTRSV DAG executor and the
   # flux CG driver juggle per-block futures whose lifetime bugs only ASan
   # would catch, and the cg label carries the randomized property tests
@@ -97,12 +97,16 @@ stage_asan() {
   # solvers cover the dataflow nodes (intrusive links, self-owned until
   # submitted) and the flux Lanczos/LOBPCG drivers built on them. la runs
   # the dense kernels' row-remainder loops and strided column-slice views,
-  # where an out-of-bounds read would otherwise pass unnoticed.
+  # where an out-of-bounds read would otherwise pass unnoticed. ds and sim
+  # build DeepSparse graphs (sim_test through sim::build_*_workload): the
+  # per-line stamp array that counts an SpMM block's input lines is indexed
+  # by column, and a ds::Schedule points at its graph, so an out-of-bounds
+  # stamp or a Schedule outliving its graph shows up there.
   cmake -B "$asan_build" -S "$repo" -DSTS_SANITIZE=address \
     -DSTS_BUILD_BENCH=OFF
   cmake --build "$asan_build" -j "$jobs"
   ctest --test-dir "$asan_build" --output-on-failure -j "$jobs" \
-    -L "svc|dispatch|faults|chaos|cg|flux|solvers|la"
+    -L "svc|dispatch|faults|chaos|cg|flux|solvers|la|ds|sim"
 }
 
 stage_tsan() {
