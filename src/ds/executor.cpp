@@ -165,9 +165,10 @@ void execute_omp(const Schedule& s, perf::TraceRecorder* trace) {
 } // namespace
 
 Schedule prepare(const graph::Tdg& g) {
-  STS_EXPECTS(g.is_acyclic());
   Schedule s;
   s.graph = &g;
+  // Enforces the acyclic precondition too: the order aborts on a cycle.
+  s.order = g.depth_first_topological_order();
   s.succ.resize(g.task_count());
   s.indeg.assign(g.task_count(), 0);
   for (std::size_t u = 0; u < g.task_count(); ++u) {
@@ -177,7 +178,6 @@ Schedule prepare(const graph::Tdg& g) {
     out.erase(std::unique(out.begin(), out.end()), out.end());
     for (graph::TaskId v : out) ++s.indeg[static_cast<std::size_t>(v)];
   }
-  s.order = g.depth_first_topological_order();
   return s;
 }
 

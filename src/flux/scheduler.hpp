@@ -68,7 +68,7 @@ public:
     /// derived from those CPUs' NUMA nodes — the pool runs on exactly this
     /// slice of the machine instead of assuming workers 0..N-1 own it. Set
     /// by the stsd dispatcher, one partition per job slot (DESIGN.md §15).
-    std::vector<int> cpus;
+    std::vector<int> cpus{};
     /// Worker-slot headroom for elastic growth: placement tables and the
     /// worker array are pre-sized for this many workers so expand() can add
     /// workers without reallocating anything a running worker reads.

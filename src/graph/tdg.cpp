@@ -1,7 +1,6 @@
 #include "graph/tdg.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <sstream>
 
 namespace sts::graph {
@@ -54,41 +53,36 @@ void Tdg::add_edge(TaskId from, TaskId to) {
 std::vector<std::int32_t> Tdg::indegrees() const {
   std::vector<std::int32_t> indeg(tasks_.size(), 0);
   // Duplicate edges between the same pair count once; executors decrement
-  // once per unique predecessor.
+  // once per unique predecessor. last_pred[v] is the last task whose edge
+  // to v was counted, so a repeat of that edge is skipped.
+  std::vector<TaskId> last_pred(tasks_.size(), -1);
   for (std::size_t u = 0; u < succ_.size(); ++u) {
-    std::vector<TaskId> uniq = succ_[u];
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    for (TaskId v : uniq) ++indeg[static_cast<std::size_t>(v)];
+    const auto pred = static_cast<TaskId>(u);
+    for (TaskId v : succ_[u]) {
+      TaskId& last = last_pred[static_cast<std::size_t>(v)];
+      if (last == pred) continue;
+      last = pred;
+      ++indeg[static_cast<std::size_t>(v)];
+    }
   }
   return indeg;
 }
 
 bool Tdg::is_acyclic() const {
-  std::vector<std::int32_t> indeg = indegrees();
-  std::queue<TaskId> ready;
-  for (std::size_t i = 0; i < indeg.size(); ++i) {
-    if (indeg[i] == 0) ready.push(static_cast<TaskId>(i));
-  }
-  std::size_t visited = 0;
-  while (!ready.empty()) {
-    const TaskId u = ready.front();
-    ready.pop();
-    ++visited;
-    std::vector<TaskId> uniq = succ_[static_cast<std::size_t>(u)];
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    for (TaskId v : uniq) {
-      if (--indeg[static_cast<std::size_t>(v)] == 0) ready.push(v);
-    }
-  }
-  return visited == tasks_.size();
+  return depth_first_order().size() == tasks_.size();
 }
 
 std::vector<TaskId> Tdg::depth_first_topological_order() const {
+  std::vector<TaskId> order = depth_first_order();
+  STS_ENSURES(order.size() == tasks_.size()); // fails if cyclic
+  return order;
+}
+
+std::vector<TaskId> Tdg::depth_first_order() const {
   // Iterative DFS post-order on the reversed graph is equivalent to a DFS
   // topological order; we emit a task once all its predecessors were
-  // emitted, exploring successors depth-first from each root.
+  // emitted, exploring successors depth-first from each root. Tasks on or
+  // behind a cycle never become ready, so the order is then short.
   std::vector<std::int32_t> indeg = indegrees();
   std::vector<TaskId> order;
   order.reserve(tasks_.size());
@@ -96,28 +90,28 @@ std::vector<TaskId> Tdg::depth_first_topological_order() const {
   for (std::size_t i = tasks_.size(); i-- > 0;) {
     if (indeg[i] == 0) stack.push_back(static_cast<TaskId>(i));
   }
+  // A duplicate edge must only decrement once: `unique` holds the distinct
+  // successors of the popped task in first-occurrence order, found with the
+  // same last-predecessor stamps as indegrees() (each task pops once).
+  std::vector<TaskId> last_pred(tasks_.size(), -1);
+  std::vector<TaskId> unique;
   while (!stack.empty()) {
     const TaskId u = stack.back();
     stack.pop_back();
     order.push_back(u);
-    const auto& outs = succ_[static_cast<std::size_t>(u)];
+    unique.clear();
+    for (TaskId v : succ_[static_cast<std::size_t>(u)]) {
+      TaskId& last = last_pred[static_cast<std::size_t>(v)];
+      if (last == u) continue;
+      last = u;
+      unique.push_back(v);
+    }
     // Push in reverse so the first-declared successor is explored first.
-    for (std::size_t k = outs.size(); k-- > 0;) {
-      const TaskId v = outs[k];
-      // A duplicate edge must only decrement once: detect via a linear scan
-      // of earlier occurrences (successor lists are short).
-      bool duplicate = false;
-      for (std::size_t e = 0; e < k; ++e) {
-        if (outs[e] == v) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
+    for (std::size_t k = unique.size(); k-- > 0;) {
+      const TaskId v = unique[k];
       if (--indeg[static_cast<std::size_t>(v)] == 0) stack.push_back(v);
     }
   }
-  STS_ENSURES(order.size() == tasks_.size()); // fails if cyclic
   return order;
 }
 

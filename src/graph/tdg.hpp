@@ -127,6 +127,10 @@ public:
   [[nodiscard]] std::string to_dot(std::size_t max_tasks = 2000) const;
 
 private:
+  /// depth_first_topological_order() without its check: on a cyclic graph
+  /// it stops short, before the tasks a cycle keeps from becoming ready.
+  [[nodiscard]] std::vector<TaskId> depth_first_order() const;
+
   std::vector<Task> tasks_;
   std::vector<std::vector<TaskId>> succ_;
   std::size_t edges_ = 0;

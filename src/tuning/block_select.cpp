@@ -43,11 +43,17 @@ std::vector<index_t> sweep_block_sizes(index_t rows) {
 
 Bucket recommended_bucket(solver::Version version, unsigned cores) {
   const bool manycore = cores >= 64;
+  // Measured natively at 2-4 workers (DESIGN.md section 2, item 7): with
+  // few workers, per-task runtime cost outweighs the load balance that
+  // finer blocks buy. From 8 cores up the paper's buckets stand; 8-27
+  // cores are unmeasured.
+  const bool small_machine = cores < 8;
   switch (version) {
     case solver::Version::kRgt:
-      return {16, 31};
+      return small_machine ? Bucket{8, 15} : Bucket{16, 31};
     case solver::Version::kDs:
     case solver::Version::kFlux:
+      if (small_machine) return {8, 15};
       return manycore ? Bucket{64, 127} : Bucket{32, 63};
     case solver::Version::kLibCsr:
     case solver::Version::kLibCsb:

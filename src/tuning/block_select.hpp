@@ -42,7 +42,9 @@ struct Bucket {
 
 /// The paper's rule of thumb (section 5.4): DeepSparse and HPX want 32-63
 /// blocks on a ~28-core multicore and 64-127 on a ~128-core manycore;
-/// Regent prefers coarse 16-31 blocks everywhere.
+/// Regent prefers coarse 16-31 blocks. Below 8 cores, a tier measured on
+/// this code gives ds, flux and rgt 8-15 blocks; the BSP versions keep
+/// their buckets.
 [[nodiscard]] Bucket recommended_bucket(solver::Version version,
                                         unsigned cores);
 

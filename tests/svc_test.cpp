@@ -218,6 +218,23 @@ TEST(RunSpec, ClientKeySurvivesTheJsonRoundTrip) {
   EXPECT_TRUE(svc::RunSpec::from_json(unkeyed.to_json()).client_key.empty());
 }
 
+TEST(RunSpec, HeuristicBlockUsesTheResolvedThreadCount) {
+  // No --block: a flux job at 3 threads takes the small-machine bucket,
+  // 8-15 blocks per dimension.
+  svc::RunSpec spec;
+  spec.suite_name = "inline_1";
+  spec.scale = 0.05;
+  spec.version = solver::Version::kFlux;
+  spec.threads = 3;
+  const sparse::Csr csr = sparse::Csr::from_coo(spec.load());
+  const svc::RunSpec::BlockChoice choice = spec.resolve_block(csr);
+  EXPECT_TRUE(choice.heuristic);
+  ASSERT_GT(choice.block, 0);
+  const la::index_t blocks = (csr.rows() + choice.block - 1) / choice.block;
+  EXPECT_GE(blocks, 8);
+  EXPECT_LE(blocks, 15);
+}
+
 
 // --------------------------------------------------------------- cache --
 

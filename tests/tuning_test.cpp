@@ -74,6 +74,25 @@ TEST(Recommendations, FollowPaperRuleOfThumb) {
   EXPECT_EQ(recommended_bucket(solver::Version::kRgt, 128).lo, 16);
 }
 
+TEST(Recommendations, SmallMachinesGetCoarseTaskBuckets) {
+  // Below 8 cores the task versions share one coarse bucket, measured
+  // natively at 2-4 workers; the BSP versions keep the paper's bucket.
+  for (unsigned cores : {2u, 3u, 4u}) {
+    for (solver::Version v : {solver::Version::kDs, solver::Version::kFlux,
+                              solver::Version::kRgt}) {
+      const Bucket b = recommended_bucket(v, cores);
+      EXPECT_EQ(b.lo, 8) << solver::to_string(v) << " at " << cores;
+      EXPECT_EQ(b.hi, 15) << solver::to_string(v) << " at " << cores;
+    }
+    for (solver::Version v :
+         {solver::Version::kLibCsr, solver::Version::kLibCsb}) {
+      const Bucket b = recommended_bucket(v, cores);
+      EXPECT_EQ(b.lo, 32) << solver::to_string(v) << " at " << cores;
+      EXPECT_EQ(b.hi, 63) << solver::to_string(v) << " at " << cores;
+    }
+  }
+}
+
 TEST(Recommendations, SizeIsPositiveEvenForTinyMatrices) {
   EXPECT_GT(recommended_block_size(solver::Version::kDs, 28, 10), 0);
   EXPECT_GT(recommended_block_size(solver::Version::kRgt, 128, 1000000), 0);
