@@ -210,9 +210,9 @@ namespace {
 /// coarse enough to amortize task overhead, fine enough that independent
 /// waves fill the machine.
 template <typename Deps, typename Body>
-void run_dag(const sparse::Csb& lower, const SptrsvPlan& plan,
-             flux::Scheduler& sched, const sparse::Csb::DomainMap* dmap,
-             bool ascending, Deps&& deps_of, Body&& make_body) {
+void run_dag(const sparse::Csb& lower, flux::Scheduler& sched,
+             const sparse::Csb::DomainMap* dmap, bool ascending,
+             Deps&& deps_of, Body&& make_body) {
   const index_t nb = lower.block_rows();
   using Fut = flux::shared_future<void>;
   std::vector<Fut> done(static_cast<std::size_t>(nb));
@@ -243,7 +243,7 @@ void sptrsv_forward(const sparse::Csb& lower, const SptrsvPlan& plan,
   const sparse::Csb* l = &lower;
   const SptrsvPlan* p = &plan;
   run_dag(
-      lower, plan, sched, dmap, /*ascending=*/true,
+      lower, sched, dmap, /*ascending=*/true,
       [p](index_t bi) -> const std::vector<index_t>& { return p->deps(bi); },
       [l, p, b, x](index_t bi) {
         return [l, p, b, x, bi] {
@@ -265,7 +265,7 @@ void sptrsv_backward(const sparse::Csb& lower, const SptrsvPlan& plan,
   const sparse::Csb* l = &lower;
   const SptrsvPlan* p = &plan;
   run_dag(
-      lower, plan, sched, dmap, /*ascending=*/false,
+      lower, sched, dmap, /*ascending=*/false,
       [p](index_t bj) -> const std::vector<index_t>& {
         return p->transposed_deps(bj);
       },

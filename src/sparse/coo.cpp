@@ -3,29 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sparse/csr.hpp"
+
 namespace sts::sparse {
 
-namespace {
-bool coord_less(const Triplet& a, const Triplet& b) {
-  return a.row != b.row ? a.row < b.row : a.col < b.col;
-}
-} // namespace
-
 void Coo::finalize() {
-  std::sort(entries_.begin(), entries_.end(), coord_less);
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < entries_.size();) {
-    Triplet merged = entries_[i];
-    std::size_t j = i + 1;
-    while (j < entries_.size() && entries_[j].row == merged.row &&
-           entries_[j].col == merged.col) {
-      merged.value += entries_[j].value;
-      ++j;
-    }
-    entries_[out++] = merged;
-    i = j;
-  }
-  entries_.resize(out);
+  // One sorting routine for the whole library: the CSR builder's row
+  // buckets, read back out in (row, col) order.
+  *this = Csr::from_coo(std::move(*this)).to_coo();
 }
 
 void Coo::symmetrize_lower() {
@@ -59,16 +44,27 @@ void Coo::fill_random_symmetric(support::Xoshiro256& rng, double lo,
 }
 
 bool Coo::is_symmetric(double tol) const {
-  std::vector<Triplet> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(), coord_less);
-  for (const Triplet& t : sorted) {
-    const Triplet probe{t.col, t.row, 0.0};
-    auto it = std::lower_bound(sorted.begin(), sorted.end(), probe,
-                               coord_less);
-    if (it == sorted.end() || it->row != t.col || it->col != t.row) {
-      return false;
+  const Csr csr = Csr::from_coo(*this);
+  const auto rowptr = csr.rowptr();
+  const auto colidx = csr.colidx();
+  const auto values = csr.values();
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows_); ++r) {
+    for (std::int64_t k = rowptr[r]; k < rowptr[r + 1]; ++k) {
+      // Mirror (c, r): binary search row c, whose columns ascend.
+      const auto c =
+          static_cast<std::size_t>(colidx[static_cast<std::size_t>(k)]);
+      if (c >= static_cast<std::size_t>(rows_)) return false;
+      const auto first = colidx.begin() + rowptr[c];
+      const auto last = colidx.begin() + rowptr[c + 1];
+      const auto it =
+          std::lower_bound(first, last, static_cast<std::int32_t>(r));
+      if (it == last || *it != static_cast<std::int32_t>(r)) return false;
+      const double mirror =
+          values[static_cast<std::size_t>(it - colidx.begin())];
+      if (std::abs(mirror - values[static_cast<std::size_t>(k)]) > tol) {
+        return false;
+      }
     }
-    if (std::abs(it->value - t.value) > tol) return false;
   }
   return true;
 }

@@ -53,7 +53,8 @@ public:
 
   void reserve(std::size_t n) { entries_.reserve(n); }
 
-  /// Sorts by (row, col) and sums duplicate coordinates.
+  /// Sorts by (row, col) and sums duplicate coordinates in input order.
+  /// O(nnz + rows): a row-bucket pass (see Csr::from_coo).
   void finalize();
 
   /// Makes the matrix symmetric the way the paper does for non-symmetric
@@ -67,7 +68,8 @@ public:
   void fill_random_symmetric(support::Xoshiro256& rng, double lo = 0.1,
                              double hi = 1.0);
 
-  /// True if for every (i,j,v) there is a matching (j,i,v). O(nnz log nnz).
+  /// True if for every (i,j,v) there is a matching (j,i,v), duplicates
+  /// summed first. O(nnz log(max row length)) after an O(nnz) CSR build.
   [[nodiscard]] bool is_symmetric(double tol = 0.0) const;
 
   /// Dense copy for reference computations in tests (small matrices only).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "la/microkernel.hpp"
 #include "support/fault.hpp"
@@ -10,108 +11,111 @@ namespace sts::sparse {
 
 namespace {
 
-/// Construction scratch: one nonzero with block-local coordinates. Only
-/// from_coo uses this; the stored format is SoA (see csb.hpp).
-struct LocalEntry {
-  std::int32_t row;
-  std::int32_t col;
-  double value;
-};
+/// Calls f(row, bj, k0, k1) for every run [k0, k1) of CSR entries that row
+/// `row` in [r0, r1) has in block column bj. Columns ascend within a CSR
+/// row, so each block a row touches is one contiguous run: one row segment.
+template <typename F>
+void for_each_block_run(const Csr& csr, index_t block, index_t r0, index_t r1,
+                        F&& f) {
+  const auto rowptr = csr.rowptr();
+  const auto colidx = csr.colidx();
+  for (index_t r = r0; r < r1; ++r) {
+    std::int64_t k = rowptr[static_cast<std::size_t>(r)];
+    const std::int64_t end = rowptr[static_cast<std::size_t>(r) + 1];
+    while (k < end) {
+      const index_t bj = colidx[static_cast<std::size_t>(k)] / block;
+      const index_t limit = (bj + 1) * block;
+      const std::int64_t k0 = k;
+      while (k < end && colidx[static_cast<std::size_t>(k)] < limit) ++k;
+      f(r, bj, k0, k);
+    }
+  }
+}
 
 } // namespace
 
 Csb Csb::from_coo(const Coo& coo, index_t block_size) {
+  return from_csr(Csr::from_coo(coo), block_size);
+}
+
+Csb Csb::from_csr(const Csr& csr, index_t block_size) {
   STS_EXPECTS(block_size > 0);
   Csb out;
-  out.rows_ = coo.rows();
-  out.cols_ = coo.cols();
+  out.rows_ = csr.rows();
+  out.cols_ = csr.cols();
   out.block_ = block_size;
-  out.nb_rows_ = (coo.rows() + block_size - 1) / block_size;
-  out.nb_cols_ = (coo.cols() + block_size - 1) / block_size;
+  out.nb_rows_ = (csr.rows() + block_size - 1) / block_size;
+  out.nb_cols_ = (csr.cols() + block_size - 1) / block_size;
   out.packed_ = block_size <= 65536; // local coords fit 16 bits
+  // Block ids are formed in std::size_t throughout: with index_t factors
+  // an nb_rows*nb_cols product could overflow a narrower intermediate.
   const std::size_t nb_cols = static_cast<std::size_t>(out.nb_cols_);
   const std::size_t nblocks =
       static_cast<std::size_t>(out.nb_rows_) * nb_cols;
 
-  // Counting sort by block id keeps construction O(nnz + #blocks). Block
-  // ids are formed in std::size_t throughout: with index_t factors an
-  // nb_rows*nb_cols product could overflow a narrower intermediate.
+  // Pass 1: entries and row segments per block, then prefix sums.
   out.blkptr_.assign(nblocks + 1, 0);
-  for (const Triplet& t : coo.entries()) {
-    const std::size_t bi = static_cast<std::size_t>(t.row) /
-                           static_cast<std::size_t>(block_size);
-    const std::size_t bj = static_cast<std::size_t>(t.col) /
-                           static_cast<std::size_t>(block_size);
-    ++out.blkptr_[bi * nb_cols + bj + 1];
-  }
+  out.segptr_.assign(nblocks + 1, 0);
+  for_each_block_run(
+      csr, block_size, 0, csr.rows(),
+      [&](index_t r, index_t bj, std::int64_t k0, std::int64_t k1) {
+        const std::size_t k =
+            static_cast<std::size_t>(r / block_size) * nb_cols +
+            static_cast<std::size_t>(bj);
+        out.blkptr_[k + 1] += k1 - k0;
+        ++out.segptr_[k + 1];
+      });
   for (std::size_t k = 0; k < nblocks; ++k) {
+    if (out.blkptr_[k + 1] != 0) ++out.nonempty_;
     out.blkptr_[k + 1] += out.blkptr_[k];
-  }
-  std::vector<LocalEntry> scratch(coo.entries().size());
-  std::vector<std::int64_t> cursor(out.blkptr_.begin(), out.blkptr_.end() - 1);
-  for (const Triplet& t : coo.entries()) {
-    const std::size_t bi = static_cast<std::size_t>(t.row) /
-                           static_cast<std::size_t>(block_size);
-    const std::size_t bj = static_cast<std::size_t>(t.col) /
-                           static_cast<std::size_t>(block_size);
-    const std::size_t blk = bi * nb_cols + bj;
-    scratch[static_cast<std::size_t>(cursor[blk]++)] = {
-        static_cast<std::int32_t>(t.row -
-                                  static_cast<std::int64_t>(bi) * block_size),
-        static_cast<std::int32_t>(t.col -
-                                  static_cast<std::int64_t>(bj) * block_size),
-        t.value};
-  }
-  // Sort each block by local (row, col): rows become contiguous segments
-  // and the per-segment column stream is monotone over x.
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    std::sort(scratch.begin() + out.blkptr_[k],
-              scratch.begin() + out.blkptr_[k + 1],
-              [](const LocalEntry& a, const LocalEntry& b) {
-                return a.row != b.row ? a.row < b.row : a.col < b.col;
-              });
+    out.segptr_[k + 1] += out.segptr_[k];
   }
 
-  // Emit the SoA streams and the per-block row-segment index. The streams
-  // are AlignedBuffers written exactly once per slot here; segments go
-  // through a growable scratch vector first (their count is unknown until
-  // the scan finishes).
-  const std::size_t nnz = scratch.size();
+  // Pass 2: scatter one block row at a time in CSR row order, which is
+  // (local row, local column) order inside every block -- no per-block
+  // sort. Each stream slot is written exactly once; the cursors cover one
+  // block row, so they cost O(block_cols()), not O(#blocks).
+  const auto nnz = static_cast<std::size_t>(csr.nnz());
   out.values_ = support::AlignedBuffer<double>(nnz);
+  out.segs_ = support::AlignedBuffer<RowSegment>(
+      static_cast<std::size_t>(out.segptr_[nblocks]));
+  const auto scatter = [&](auto* cols) {
+    using ColT = std::remove_pointer_t<decltype(cols)>;
+    const auto colidx = csr.colidx();
+    const auto values = csr.values();
+    std::vector<std::int64_t> entry(nb_cols);
+    std::vector<std::int64_t> seg(nb_cols);
+    for (index_t bi = 0; bi < out.nb_rows_; ++bi) {
+      const std::size_t row0 = static_cast<std::size_t>(bi) * nb_cols;
+      std::copy_n(out.blkptr_.begin() + row0, nb_cols, entry.begin());
+      std::copy_n(out.segptr_.begin() + row0, nb_cols, seg.begin());
+      const index_t r0 = bi * block_size;
+      for_each_block_run(
+          csr, block_size, r0, r0 + out.rows_in_block(bi),
+          [&](index_t r, index_t bj, std::int64_t k0, std::int64_t k1) {
+            const auto j = static_cast<std::size_t>(bj);
+            const std::int64_t begin = entry[j];
+            out.segs_[static_cast<std::size_t>(seg[j]++)] = {
+                begin, static_cast<std::int32_t>(r - r0),
+                static_cast<std::int32_t>(k1 - k0)};
+            const index_t c0 = bj * block_size;
+            for (std::int64_t k = k0; k < k1; ++k) {
+              const auto t = static_cast<std::size_t>(begin + (k - k0));
+              out.values_[t] = values[static_cast<std::size_t>(k)];
+              cols[t] = static_cast<ColT>(
+                  colidx[static_cast<std::size_t>(k)] - c0);
+            }
+            entry[j] += k1 - k0;
+          });
+    }
+  };
   if (out.packed_) {
     out.cols16_ = support::AlignedBuffer<std::uint16_t>(nnz);
+    scatter(out.cols16_.data());
   } else {
     out.cols32_ = support::AlignedBuffer<std::uint32_t>(nnz);
+    scatter(out.cols32_.data());
   }
-  std::vector<RowSegment> segs;
-  out.segptr_.assign(nblocks + 1, 0);
-  for (std::size_t k = 0; k < nblocks; ++k) {
-    const std::int64_t lo = out.blkptr_[k];
-    const std::int64_t hi = out.blkptr_[k + 1];
-    if (hi > lo) ++out.nonempty_;
-    std::int64_t t = lo;
-    while (t < hi) {
-      const std::int32_t row = scratch[static_cast<std::size_t>(t)].row;
-      const std::int64_t seg_begin = t;
-      while (t < hi && scratch[static_cast<std::size_t>(t)].row == row) {
-        const LocalEntry& e = scratch[static_cast<std::size_t>(t)];
-        out.values_[static_cast<std::size_t>(t)] = e.value;
-        if (out.packed_) {
-          out.cols16_[static_cast<std::size_t>(t)] =
-              static_cast<std::uint16_t>(e.col);
-        } else {
-          out.cols32_[static_cast<std::size_t>(t)] =
-              static_cast<std::uint32_t>(e.col);
-        }
-        ++t;
-      }
-      segs.push_back(
-          {seg_begin, row, static_cast<std::int32_t>(t - seg_begin)});
-    }
-    out.segptr_[k + 1] = static_cast<std::int64_t>(segs.size());
-  }
-  out.segs_ = support::AlignedBuffer<RowSegment>(segs.size());
-  std::copy(segs.begin(), segs.end(), out.segs_.begin());
   return out;
 }
 
@@ -155,7 +159,7 @@ void Csb::place_stripes(
   // first write decides their NUMA node. Each domain's stripe is one
   // contiguous range of the block-row-major streams, and the copy task for
   // it runs under that domain's hint — real first-touch placement, not the
-  // single-threaded layout from_coo produced.
+  // single-threaded layout from_csr produced.
   support::AlignedBuffer<double> values(values_.size());
   support::AlignedBuffer<std::uint16_t> cols16(cols16_.size());
   support::AlignedBuffer<std::uint32_t> cols32(cols32_.size());
@@ -191,10 +195,6 @@ void Csb::place_stripes(
   cols16_ = std::move(cols16);
   cols32_ = std::move(cols32);
   segs_ = std::move(segs);
-}
-
-Csb Csb::from_csr(const Csr& csr, index_t block_size) {
-  return from_coo(csr.to_coo(), block_size);
 }
 
 Coo Csb::to_coo() const {

@@ -85,10 +85,13 @@ public:
 
   Csb() = default;
 
-  /// Builds from COO with the given block size (rows per block in both
-  /// dimensions). Entries within a block are sorted by local (row, col).
-  static Csb from_coo(const Coo& coo, index_t block_size);
+  /// Builds from CSR with the given block size (rows per block in both
+  /// dimensions) in two O(nnz + #blocks) passes: count entries and row
+  /// segments per block, then scatter in CSR row order, which already is
+  /// local (row, col) order inside every block. No scratch copy, no sort.
   static Csb from_csr(const Csr& csr, index_t block_size);
+  /// from_csr(Csr::from_coo(coo), block_size): duplicates are summed.
+  static Csb from_coo(const Coo& coo, index_t block_size);
 
   /// Nonzeros in block-row `bi`. O(1): the grid is block-row-major, so the
   /// row's blocks occupy one contiguous blkptr range.

@@ -1,23 +1,84 @@
 #include "sparse/csr.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace sts::sparse {
 
 Csr Csr::from_coo(Coo coo) {
-  coo.finalize();
+  // Stable counting sort on rows, straight into the output arrays: one pass
+  // counts, one scatters in input order. A row then needs a column sort
+  // only if its input was out of order, and duplicates sum in input order.
+  const std::size_t rows = static_cast<std::size_t>(coo.rows());
+  const std::vector<Triplet>& entries = coo.entries();
   Csr out;
   out.rows_ = coo.rows();
   out.cols_ = coo.cols();
-  out.rowptr_.assign(static_cast<std::size_t>(coo.rows()) + 1, 0);
-  out.colidx_.reserve(static_cast<std::size_t>(coo.nnz()));
-  out.values_.reserve(static_cast<std::size_t>(coo.nnz()));
-  for (const Triplet& t : coo.entries()) {
+  out.rowptr_.assign(rows + 1, 0);
+  for (const Triplet& t : entries) {
     ++out.rowptr_[static_cast<std::size_t>(t.row) + 1];
-    out.colidx_.push_back(t.col);
-    out.values_.push_back(t.value);
   }
-  for (std::size_t r = 0; r < static_cast<std::size_t>(coo.rows()); ++r) {
+  for (std::size_t r = 0; r < rows; ++r) {
     out.rowptr_[r + 1] += out.rowptr_[r];
   }
+  out.colidx_.resize(entries.size());
+  out.values_.resize(entries.size());
+  std::vector<std::int64_t> cursor(out.rowptr_.begin(), out.rowptr_.end() - 1);
+  for (const Triplet& t : entries) {
+    const auto k =
+        static_cast<std::size_t>(cursor[static_cast<std::size_t>(t.row)]++);
+    out.colidx_[k] = t.col;
+    out.values_[k] = t.value;
+  }
+
+  // Sort the out-of-order rows, sum duplicates and compact in place. The
+  // write cursor never passes the read cursor, so one forward sweep does.
+  std::vector<std::pair<std::int32_t, double>> row;
+  std::int64_t write = 0;
+  std::int64_t read = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::int64_t end = out.rowptr_[r + 1];
+    out.rowptr_[r] = write;
+    bool ordered = true;
+    for (std::int64_t k = read + 1; k < end && ordered; ++k) {
+      ordered = out.colidx_[static_cast<std::size_t>(k - 1)] <
+                out.colidx_[static_cast<std::size_t>(k)];
+    }
+    if (ordered) {
+      if (write != read) {
+        std::copy(out.colidx_.begin() + read, out.colidx_.begin() + end,
+                  out.colidx_.begin() + write);
+        std::copy(out.values_.begin() + read, out.values_.begin() + end,
+                  out.values_.begin() + write);
+      }
+      write += end - read;
+    } else {
+      row.clear();
+      for (std::int64_t k = read; k < end; ++k) {
+        row.emplace_back(out.colidx_[static_cast<std::size_t>(k)],
+                         out.values_[static_cast<std::size_t>(k)]);
+      }
+      std::stable_sort(row.begin(), row.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      for (std::size_t i = 0; i < row.size();) {
+        double sum = row[i].second;
+        std::size_t j = i + 1;
+        for (; j < row.size() && row[j].first == row[i].first; ++j) {
+          sum += row[j].second;
+        }
+        out.colidx_[static_cast<std::size_t>(write)] = row[i].first;
+        out.values_[static_cast<std::size_t>(write)] = sum;
+        ++write;
+        i = j;
+      }
+    }
+    read = end;
+  }
+  out.rowptr_[rows] = write;
+  out.colidx_.resize(static_cast<std::size_t>(write));
+  out.values_.resize(static_cast<std::size_t>(write));
   return out;
 }
 

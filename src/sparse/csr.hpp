@@ -20,7 +20,10 @@ class Csr {
 public:
   Csr() = default;
 
-  /// Builds from finalized or unfinalized COO (duplicates are summed).
+  /// Builds from finalized or unfinalized COO in O(nnz + rows): a stable
+  /// counting sort on rows, a column sort only for rows whose input is out
+  /// of order, and duplicates summed in input order. The library's one
+  /// sorting routine (Coo::finalize goes through it too).
   static Csr from_coo(Coo coo);
 
   [[nodiscard]] index_t rows() const noexcept { return rows_; }

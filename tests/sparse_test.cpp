@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <span>
 #include <sstream>
 
 #include "sparse/coo.hpp"
@@ -309,6 +312,237 @@ TEST(Csb, NonemptyBlockCountsAndStats) {
   EXPECT_EQ(st.total_blocks, 4);
   EXPECT_DOUBLE_EQ(st.empty_fraction, 0.5);
   EXPECT_EQ(st.max_block_nnz, 1);
+}
+
+// --- Builders against a sort-based oracle ---------------------------------
+// The oracle is the earlier sort-based construction: std::sort the
+// triplets, sum runs of equal coordinates, scatter into blocks by a counting
+// pass and std::sort every block by local (row, col). The O(nnz) builders
+// must reproduce its arrays byte for byte.
+
+bool oracle_coord_less(const Triplet& a, const Triplet& b) {
+  return a.row != b.row ? a.row < b.row : a.col < b.col;
+}
+
+std::vector<Triplet> oracle_finalize(std::vector<Triplet> e) {
+  std::sort(e.begin(), e.end(), oracle_coord_less);
+  std::vector<Triplet> out;
+  for (std::size_t i = 0; i < e.size();) {
+    Triplet merged = e[i];
+    std::size_t j = i + 1;
+    for (; j < e.size() && e[j].row == merged.row && e[j].col == merged.col;
+         ++j) {
+      merged.value += e[j].value;
+    }
+    out.push_back(merged);
+    i = j;
+  }
+  return out;
+}
+
+struct OracleCsb {
+  std::vector<std::int64_t> blkptr;
+  std::vector<Csb::RowSegment> segments;
+  std::vector<double> values;
+  std::vector<std::uint32_t> cols;
+  index_t nonempty = 0;
+};
+
+OracleCsb oracle_csb(const Coo& coo, index_t block) {
+  const std::vector<Triplet> e = oracle_finalize(coo.entries());
+  const index_t nbr = (coo.rows() + block - 1) / block;
+  const index_t nbc = (coo.cols() + block - 1) / block;
+  const auto nblocks = static_cast<std::size_t>(nbr * nbc);
+  auto block_of = [&](const Triplet& t) {
+    return static_cast<std::size_t>(t.row / block * nbc + t.col / block);
+  };
+  OracleCsb o;
+  o.blkptr.assign(nblocks + 1, 0);
+  for (const Triplet& t : e) ++o.blkptr[block_of(t) + 1];
+  for (std::size_t k = 0; k < nblocks; ++k) o.blkptr[k + 1] += o.blkptr[k];
+  std::vector<Triplet> local(e.size());
+  std::vector<std::int64_t> cursor(o.blkptr.begin(), o.blkptr.end() - 1);
+  for (const Triplet& t : e) {
+    local[static_cast<std::size_t>(cursor[block_of(t)]++)] = {
+        static_cast<std::int32_t>(t.row % block),
+        static_cast<std::int32_t>(t.col % block), t.value};
+  }
+  for (std::size_t k = 0; k < nblocks; ++k) {
+    std::sort(local.begin() + o.blkptr[k], local.begin() + o.blkptr[k + 1],
+              oracle_coord_less);
+    if (o.blkptr[k + 1] > o.blkptr[k]) ++o.nonempty;
+    for (std::int64_t t = o.blkptr[k]; t < o.blkptr[k + 1];) {
+      const std::int64_t begin = t;
+      const std::int32_t row = local[static_cast<std::size_t>(t)].row;
+      while (t < o.blkptr[k + 1] &&
+             local[static_cast<std::size_t>(t)].row == row) {
+        ++t;
+      }
+      o.segments.push_back({begin, row, static_cast<std::int32_t>(t - begin)});
+    }
+  }
+  for (const Triplet& t : local) {
+    o.values.push_back(t.value);
+    o.cols.push_back(static_cast<std::uint32_t>(t.col));
+  }
+  return o;
+}
+
+template <typename T>
+bool same_bytes(std::span<const T> a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+void expect_csr_matches_oracle(const Coo& coo) {
+  const Csr csr = Csr::from_coo(coo);
+  const std::vector<Triplet> e = oracle_finalize(coo.entries());
+  std::vector<std::int64_t> rowptr(static_cast<std::size_t>(coo.rows()) + 1);
+  std::vector<std::int32_t> colidx;
+  std::vector<double> values;
+  for (const Triplet& t : e) {
+    ++rowptr[static_cast<std::size_t>(t.row) + 1];
+    colidx.push_back(t.col);
+    values.push_back(t.value);
+  }
+  for (std::size_t r = 0; r + 1 < rowptr.size(); ++r) {
+    rowptr[r + 1] += rowptr[r];
+  }
+  EXPECT_EQ(csr.rows(), coo.rows());
+  EXPECT_EQ(csr.cols(), coo.cols());
+  EXPECT_TRUE(same_bytes(csr.rowptr(), rowptr));
+  EXPECT_TRUE(same_bytes(csr.colidx(), colidx));
+  EXPECT_TRUE(same_bytes(csr.values(), values));
+}
+
+void expect_csb_matches_oracle(const Coo& coo, index_t block) {
+  SCOPED_TRACE("block=" + std::to_string(block) + " shape=" +
+               std::to_string(coo.rows()) + "x" + std::to_string(coo.cols()));
+  const Csb csb = Csb::from_csr(Csr::from_coo(coo), block);
+  const OracleCsb o = oracle_csb(coo, block);
+  EXPECT_TRUE(same_bytes(csb.blkptr(), o.blkptr));
+  EXPECT_TRUE(same_bytes(csb.segments(), o.segments));
+  EXPECT_TRUE(same_bytes(csb.values(), o.values));
+  EXPECT_EQ(csb.nonempty_blocks(), o.nonempty);
+  EXPECT_EQ(csb.packed_coords(), block <= 65536);
+  ASSERT_EQ(static_cast<std::size_t>(csb.nnz()), o.cols.size());
+  if (csb.nnz() > 0) {
+    const Csb::BlockView v = csb.block_view(0, 0); // bases of global arrays
+    for (std::size_t t = 0; t < o.cols.size(); ++t) {
+      ASSERT_EQ(v.col(static_cast<std::int64_t>(t)),
+                static_cast<index_t>(o.cols[t]))
+          << "entry " << t;
+    }
+  }
+  // The COO path is the same construction.
+  const Csb via_coo = Csb::from_coo(coo, block);
+  EXPECT_TRUE(same_bytes(via_coo.values(), o.values));
+  EXPECT_TRUE(same_bytes(via_coo.segments(), o.segments));
+}
+
+TEST(Builders, CsbMatchesSortOracleAcrossBlockSizes) {
+  const Coo banded = gen_banded_random(97, 9, 0.5, 131);
+  for (const index_t block : {1, 7, 17, 97, 200}) {
+    expect_csb_matches_oracle(banded, block);
+  }
+  const Coo rmat = gen_rmat(7, 6, 0.57, 0.19, 0.19, 137);
+  for (const index_t block : {1, 7, 17, 128, 1000}) {
+    expect_csb_matches_oracle(rmat, block);
+  }
+}
+
+TEST(Builders, CsbMatchesSortOracleWith32BitCoords) {
+  // 70000 rows: blocks wider than 65536 store 32-bit local columns; 65536
+  // is the widest block whose columns still pack into 16 bits.
+  const Coo wide = gen_banded_random(70000, 2, 0.5, 139);
+  for (const index_t block : {65536, 65537, 70000, 100000}) {
+    expect_csb_matches_oracle(wide, block);
+  }
+}
+
+TEST(Builders, EmptyRowsZeroNnzAndRectangular) {
+  Coo sparse_rows(50, 50);
+  for (index_t r = 0; r < 50; r += 3) {
+    sparse_rows.add(r, (r * 7) % 50, 1.0 + static_cast<double>(r));
+    sparse_rows.add(r, (r * 11 + 5) % 50, -2.0);
+  }
+  const Coo empty(10, 10);
+  const Coo nothing(0, 0);
+  Coo rect(40, 73);
+  support::Xoshiro256 rng(141);
+  for (int k = 0; k < 300; ++k) {
+    rect.add(static_cast<index_t>(rng.below(40)),
+             static_cast<index_t>(rng.below(73)), rng.uniform(-1.0, 1.0));
+  }
+  Coo tall(73, 40);
+  for (const Triplet& t : rect.entries()) tall.add(t.col, t.row, t.value);
+  for (const Coo* coo :
+       std::initializer_list<const Coo*>{&sparse_rows, &empty, &nothing,
+                                         &rect, &tall}) {
+    expect_csr_matches_oracle(*coo);
+    for (const index_t block : {1, 7, 17, 64}) {
+      expect_csb_matches_oracle(*coo, block);
+    }
+  }
+  EXPECT_EQ(Csb::from_coo(empty, 4).nonempty_blocks(), 0);
+  EXPECT_EQ(Csb::from_coo(nothing, 4).block_rows(), 0);
+}
+
+TEST(Builders, CsrFromShuffledCooWithDuplicatesMatchesOracle) {
+  Coo coo = gen_fem3d(5, 5, 5, 1, 149);
+  support::Xoshiro256 rng(151);
+  // Dyadic values sum exactly in any order, so the oracle's unstable sort
+  // and the builder's input-order sums must agree bit for bit.
+  for (Triplet& t : coo.entries()) {
+    t.value = static_cast<double>(rng.below(64)) * 0.25 - 8.0;
+  }
+  const std::size_t n = coo.entries().size();
+  for (std::size_t i = 0; i < n; i += 3) {
+    coo.entries().push_back(coo.entries()[i]);
+    if (i % 2 == 0) coo.entries().push_back(coo.entries()[i]);
+  }
+  auto& e = coo.entries();
+  for (std::size_t i = e.size() - 1; i > 0; --i) {
+    std::swap(e[i], e[static_cast<std::size_t>(rng.below(i + 1))]);
+  }
+  expect_csr_matches_oracle(coo);
+  expect_csb_matches_oracle(coo, 16);
+  Coo finalized = coo;
+  finalized.finalize();
+  EXPECT_EQ(finalized.entries(), oracle_finalize(coo.entries()));
+}
+
+TEST(Builders, DuplicatesSumInInputOrder) {
+  // 1e16 + 1 rounds back to 1e16, so summed in input order the copies
+  // below cancel to 0; summed in almost any other order the ones survive.
+  // The row has 100 copies and is out of order, so an unstable column sort
+  // would be free to shuffle them.
+  Coo coo(2, 8);
+  coo.add(0, 3, 5.0);
+  std::vector<double> copies(100, 1.0);
+  copies.front() = 1e16;
+  copies.back() = -1e16;
+  double expected = 0.0;
+  for (const double v : copies) {
+    coo.add(1, 5, v);
+    expected += v;
+  }
+  coo.add(1, 2, 7.0);
+  const Csr csr = Csr::from_coo(coo);
+  ASSERT_EQ(csr.nnz(), 3);
+  EXPECT_EQ(csr.colidx()[2], 5);
+  EXPECT_EQ(csr.values()[2], expected);
+  coo.finalize();
+  EXPECT_EQ(coo.entries()[2], (Triplet{1, 5, expected}));
+}
+
+TEST(Builders, FinalizeLeavesFinalizedCooUnchanged) {
+  for (Coo coo : {gen_fem3d(4, 4, 4, 1, 157), gen_rmat(6, 5, 0.57, 0.19,
+                                                       0.19, 163)}) {
+    const std::vector<Triplet> before = coo.entries();
+    coo.finalize();
+    EXPECT_EQ(coo.entries(), before);
+  }
 }
 
 TEST(MatrixMarket, RoundTripsGeneral) {

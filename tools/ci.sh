@@ -89,7 +89,7 @@ stage_dispatch() {
 }
 
 stage_asan() {
-  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/solvers/la/ds/sim labels =="
+  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/solvers/la/ds/sim/sparse/bsp labels =="
   # cg joins the concurrency-heavy set: the SpTRSV DAG executor and the
   # flux CG driver juggle per-block futures whose lifetime bugs only ASan
   # would catch, and the cg label carries the randomized property tests
@@ -101,12 +101,16 @@ stage_asan() {
   # build DeepSparse graphs (sim_test through sim::build_*_workload): the
   # per-line stamp array that counts an SpMM block's input lines is indexed
   # by column, and a ds::Schedule points at its graph, so an out-of-bounds
-  # stamp or a Schedule outliving its graph shows up there.
+  # stamp or a Schedule outliving its graph shows up there. sparse and bsp
+  # cover the matrix builders: Csr::from_coo and Csb::from_csr scatter into
+  # raw AlignedBuffers through per-row and per-block cursor arrays, and the
+  # bsp kernels walk the resulting block streams, so a cursor that runs
+  # past its bucket is an out-of-bounds write only ASan reports.
   cmake -B "$asan_build" -S "$repo" -DSTS_SANITIZE=address \
     -DSTS_BUILD_BENCH=OFF
   cmake --build "$asan_build" -j "$jobs"
   ctest --test-dir "$asan_build" --output-on-failure -j "$jobs" \
-    -L "svc|dispatch|faults|chaos|cg|flux|solvers|la|ds|sim"
+    -L "svc|dispatch|faults|chaos|cg|flux|solvers|la|ds|sim|sparse|bsp"
 }
 
 stage_tsan() {
