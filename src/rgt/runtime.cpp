@@ -21,6 +21,12 @@ void note_in_flight(std::uint64_t now_in_flight) {
   g.observe(static_cast<std::int64_t>(now_in_flight));
 }
 
+/// How long a waiting launcher parks when no task is ready. Completions
+/// wake it only at zero in flight, so this bounds how late it notices a
+/// newly ready task or a window with room. 50 us measured faster than
+/// 1 ms on the Lanczos benchmark (DESIGN.md §10).
+constexpr auto kHelpPark = std::chrono::microseconds(50);
+
 } // namespace
 
 const char* to_string(Privilege p) {
@@ -69,8 +75,11 @@ struct Runtime::Trace {
 };
 
 Runtime::Runtime(Config config)
-    : config_(config),
-      scheduler_({.threads = std::max(1u, config.cpu_workers),
+    : config_([&] {
+        config.cpu_workers = std::max(1u, config.cpu_workers);
+        return config;
+      }()),
+      scheduler_({.threads = config_.cpu_workers,
                   .numa_domains = 1,
                   .numa_aware = false}) {}
 
@@ -86,8 +95,8 @@ RegionId Runtime::register_region(std::span<double> storage,
   state.name = std::move(name);
   state.pieces = 1;
   state.piece_states.resize(1);
-  state.instances.resize(config_.cpu_workers);
-  state.instance_dirty.assign(config_.cpu_workers, false);
+  state.instances.resize(config_.cpu_workers + 1);
+  state.instance_dirty.assign(config_.cpu_workers + 1, 0);
   regions_.push_back(std::move(state));
   return static_cast<RegionId>(regions_.size() - 1);
 }
@@ -193,7 +202,9 @@ void Runtime::run_body(const TaskPtr& task) {
   const std::int64_t t0 = timed ? support::now_ns() : 0;
   try {
     support::fault::check("rgt:task");
-    TaskContext ctx(this, scheduler_.current_worker());
+    // Outside the pool only the launcher runs tasks (help_while).
+    const int w = scheduler_.current_worker();
+    TaskContext ctx(this, w >= 0 ? w : static_cast<int>(config_.cpu_workers));
     task->body(ctx);
   } catch (const support::TaskError&) {
     report_error(std::current_exception());
@@ -269,6 +280,8 @@ void Runtime::rethrow_and_reset() {
 }
 
 void Runtime::drain() noexcept {
+  // Blocks without helping: this runs in the destructor, possibly during
+  // unwinding, where running arbitrary task bodies is the wrong thing.
   if (active_capture_ == nullptr && active_replay_ == nullptr) {
     for (std::size_t rid = 0; rid < regions_.size(); ++rid) {
       close_reduction_epoch(static_cast<RegionId>(rid));
@@ -288,31 +301,53 @@ void Runtime::drain() noexcept {
   suppressed_.store(0, std::memory_order_relaxed);
 }
 
-void Runtime::enforce_window() {
-  std::unique_lock<std::mutex> lock(window_mutex_);
-  window_cv_.wait(lock, [&] {
-    return in_flight_.load(std::memory_order_acquire) < config_.window;
-  });
+void Runtime::help_while(std::uint64_t limit) {
+  while (in_flight_.load(std::memory_order_acquire) >= limit) {
+    if (scheduler_.try_run_one()) {
+      ++stats_.tasks_helped;
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(window_mutex_);
+    window_cv_.wait_for(lock, kHelpPark, [&] {
+      return in_flight_.load(std::memory_order_acquire) < limit;
+    });
+  }
 }
 
 double* Runtime::instance_for(RegionId region, int worker) {
-  STS_EXPECTS(worker >= 0 &&
-              static_cast<unsigned>(worker) < config_.cpu_workers);
   RegionState& r = regions_[static_cast<std::size_t>(region)];
+  STS_EXPECTS(worker >= 0 &&
+              static_cast<std::size_t>(worker) < r.instances.size());
   auto& slot = r.instances[static_cast<std::size_t>(worker)];
   if (!slot) {
     slot = std::make_unique<double[]>(r.storage.size());
     std::memset(slot.get(), 0, r.storage.size() * sizeof(double));
   }
-  r.instance_dirty[static_cast<std::size_t>(worker)] = true;
+  r.instance_dirty[static_cast<std::size_t>(worker)] = 1;
   return slot.get();
 }
 
 std::span<double> TaskContext::reduce_target(RegionId region) {
-  STS_EXPECTS(worker_ >= 0); // only valid on a worker thread
   Runtime::RegionState& r =
       rt_->regions_[static_cast<std::size_t>(region)];
   return {rt_->instance_for(region, worker_), r.storage.size()};
+}
+
+TaskBody Runtime::fold_body(RegionId region) {
+  // Adds every dirty instance into the region in slot order and re-zeroes
+  // it; runs after the epoch's last reducer.
+  return [rt = this, region](TaskContext&) {
+    RegionState& reg = rt->regions_[static_cast<std::size_t>(region)];
+    for (std::size_t w = 0; w < reg.instances.size(); ++w) {
+      if (reg.instance_dirty[w] == 0) continue;
+      double* inst = reg.instances[w].get();
+      for (std::size_t k = 0; k < reg.storage.size(); ++k) {
+        reg.storage[k] += inst[k];
+        inst[k] = 0.0;
+      }
+      reg.instance_dirty[w] = 0;
+    }
+  };
 }
 
 void Runtime::close_reduction_epoch(RegionId region) {
@@ -322,20 +357,7 @@ void Runtime::close_reduction_epoch(RegionId region) {
   auto fold = std::make_shared<TaskRecord>();
   fold->rt = this;
   fold->name = "reduction_fold";
-  const RegionId rid = region;
-  Runtime* rt = this;
-  fold->body = [rt, rid](TaskContext&) {
-    RegionState& reg = rt->regions_[static_cast<std::size_t>(rid)];
-    for (std::size_t w = 0; w < reg.instances.size(); ++w) {
-      if (!reg.instance_dirty[w]) continue;
-      double* inst = reg.instances[w].get();
-      for (std::size_t k = 0; k < reg.storage.size(); ++k) {
-        reg.storage[k] += inst[k];
-        inst[k] = 0.0;
-      }
-      reg.instance_dirty[w] = false;
-    }
-  };
+  fold->body = fold_body(region);
 
   for (const TaskPtr& reducer : r.open_reducers) {
     add_dependence(reducer, fold);
@@ -417,7 +439,7 @@ void Runtime::apply_state_updates(const TaskPtr& task,
 
 void Runtime::execute(TaskLaunch launch) {
   STS_EXPECTS(launch.body != nullptr);
-  enforce_window();
+  help_while(config_.window);
 
   auto task = std::make_shared<TaskRecord>();
   task->rt = this;
@@ -480,7 +502,7 @@ void Runtime::index_launch(
   std::vector<TaskPtr> tasks;
   tasks.reserve(launches.size());
   for (TaskLaunch& l : launches) {
-    enforce_window();
+    help_while(config_.window);
     auto task = std::make_shared<TaskRecord>();
     task->rt = this;
     task->body = std::move(l.body);
@@ -603,20 +625,7 @@ void Runtime::replay_fold_entry() {
   auto fold = std::make_shared<TaskRecord>();
   fold->rt = this;
   fold->name = "reduction_fold";
-  const RegionId rid = entry.fold_region;
-  Runtime* rt = this;
-  fold->body = [rt, rid](TaskContext&) {
-    RegionState& reg = rt->regions_[static_cast<std::size_t>(rid)];
-    for (std::size_t w = 0; w < reg.instances.size(); ++w) {
-      if (!reg.instance_dirty[w]) continue;
-      double* inst = reg.instances[w].get();
-      for (std::size_t k = 0; k < reg.storage.size(); ++k) {
-        reg.storage[k] += inst[k];
-        inst[k] = 0.0;
-      }
-      reg.instance_dirty[w] = false;
-    }
-  };
+  fold->body = fold_body(entry.fold_region);
   fold->trace_index = static_cast<std::int32_t>(tr.cursor);
   for (std::int32_t dep : entry.deps_in_trace) {
     add_dependence(replay_tasks_[static_cast<std::size_t>(dep)], fold);
@@ -669,11 +678,9 @@ void Runtime::on_finished() {
   const std::uint64_t before =
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   note_in_flight(before - 1);
+  // Only the drained state wakes anyone: the blocking waits need zero, and
+  // a helping launcher re-checks on its own every kHelpPark.
   if (before == 1) {
-    const std::lock_guard<std::mutex> lock(window_mutex_);
-    window_cv_.notify_all();
-  } else if (in_flight_.load(std::memory_order_acquire) <
-             config_.window) {
     const std::lock_guard<std::mutex> lock(window_mutex_);
     window_cv_.notify_all();
   }
@@ -685,12 +692,7 @@ void Runtime::wait_all() {
   for (std::size_t rid = 0; rid < regions_.size(); ++rid) {
     close_reduction_epoch(static_cast<RegionId>(rid));
   }
-  {
-    std::unique_lock<std::mutex> lock(window_mutex_);
-    window_cv_.wait(lock, [&] {
-      return in_flight_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  help_while(1);
   rethrow_and_reset();
 }
 
@@ -700,6 +702,9 @@ void Runtime::wait_all(std::chrono::milliseconds deadline) {
     close_reduction_epoch(static_cast<RegionId>(rid));
   }
   {
+    // No helping here: a task body run on this thread could outlast the
+    // deadline by any amount (a stalled one forever), and the watchdog
+    // must fire on time.
     std::unique_lock<std::mutex> lock(window_mutex_);
     const bool quiet = window_cv_.wait_for(lock, deadline, [&] {
       return in_flight_.load(std::memory_order_acquire) == 0;

@@ -21,6 +21,9 @@
 // Execution uses a work-stealing pool (flux::Scheduler) as the CPU
 // processor group; `util_threads` exists for symmetry with Regent's
 // -ll:util and is consumed by the schedule simulator's Regent policy.
+// While the launching thread waits (wait_all(), a full window) it runs
+// ready tasks itself, as a Legion task blocked on a future yields its
+// processor to other ready tasks; it acts as worker `cpu_workers`.
 #pragma once
 
 #include <chrono>
@@ -67,6 +70,9 @@ public:
   /// re-zeroes them before the next conflicting reader.
   [[nodiscard]] std::span<double> reduce_target(RegionId region);
 
+  /// Slot of the running thread: a pool worker's index in
+  /// [0, cpu_workers), or cpu_workers when the launching thread runs the
+  /// task while it waits. Never negative.
   [[nodiscard]] int worker() const noexcept { return worker_; }
 
 private:
@@ -88,11 +94,12 @@ struct TaskLaunch {
 class Runtime {
 public:
   struct Config {
-    unsigned cpu_workers = 2;       // -ll:cpu
+    unsigned cpu_workers = 2;       // -ll:cpu (0 runs one worker)
     unsigned util_threads = 1;      // -ll:util (consumed by the simulator)
     bool verify_index_launches = false;
-    /// Maximum launched-but-unfinished tasks before execute() blocks;
-    /// models Legion's bounded scheduling window.
+    /// Maximum launched-but-unfinished tasks before execute() stops
+    /// launching and runs ready tasks itself until the count drops below
+    /// it; models Legion's bounded scheduling window.
     std::size_t window = 4096;
   };
 
@@ -102,6 +109,7 @@ public:
     std::uint64_t piece_checks = 0;       // analysis work performed
     std::uint64_t folds_inserted = 0;
     std::uint64_t traced_replays = 0;
+    std::uint64_t tasks_helped = 0;       // run by the launcher while waiting
     double analysis_seconds = 0.0;        // time spent in the serial analyzer
   };
 
@@ -138,15 +146,17 @@ public:
   void begin_trace(std::int32_t trace_id);
   void end_trace(std::int32_t trace_id);
 
-  /// Blocks until all launched tasks (and pending folds) completed. If a
-  /// task body threw, the first failure is rethrown here as a
-  /// support::TaskError naming the failing task, the error state is reset,
-  /// and the runtime stays usable for subsequent launches.
+  /// Returns once all launched tasks (and pending folds) completed,
+  /// running ready tasks on the calling thread meanwhile. If a task body
+  /// threw, the first failure is rethrown here as a support::TaskError
+  /// naming the failing task, the error state is reset, and the runtime
+  /// stays usable for subsequent launches.
   void wait_all();
 
   /// Bounded wait_all: throws support::TimeoutError carrying the in-flight
   /// task count and the worker pool's queue depths if the runtime has not
-  /// drained within `deadline`.
+  /// drained within `deadline`. Blocks without running tasks, since a task
+  /// body run here could overrun the deadline by any amount.
   void wait_all(std::chrono::milliseconds deadline);
 
   /// True between the first task failure and the wait_all that consumes it.
@@ -182,8 +192,11 @@ private:
     std::vector<PieceState> piece_states; // size == pieces
     // Open reduction epoch (whole-region granularity, see DESIGN.md):
     std::vector<TaskPtr> open_reducers;
-    std::vector<std::unique_ptr<double[]>> instances; // per worker, lazy
-    std::vector<bool> instance_dirty;                 // per worker
+    // One slot per worker plus the launcher's (TaskContext::worker()).
+    std::vector<std::unique_ptr<double[]>> instances; // lazy
+    // A byte per slot, not vector<bool>: slots are set concurrently and
+    // must not share a word.
+    std::vector<std::uint8_t> instance_dirty;
   };
 
   struct Trace;
@@ -204,14 +217,16 @@ private:
   void rethrow_and_reset();
   void drain() noexcept;
   void on_finished();
-  void enforce_window();
+  /// Runs ready tasks on the launching thread while `limit` or more tasks
+  /// are in flight, parking briefly whenever none is ready.
+  void help_while(std::uint64_t limit);
   void snapshot_boundary();
   void replay_fold_entry();
+  [[nodiscard]] TaskBody fold_body(RegionId region);
   void verify_noninterference(const std::vector<TaskLaunch>& launches);
   double* instance_for(RegionId region, int worker);
 
   Config config_;
-  flux::Scheduler scheduler_;
   std::vector<RegionState> regions_;
 
   std::atomic<std::uint64_t> in_flight_{0};
@@ -230,6 +245,11 @@ private:
   Trace* active_replay_ = nullptr;
   std::vector<TaskPtr> replay_tasks_;
   std::vector<TaskPtr> replay_boundary_;
+
+  // Declared last so it is destroyed first: its destructor joins the
+  // workers, and a worker can still be inside on_finished() (taking
+  // window_mutex_) after wait_all() has seen the last completion.
+  flux::Scheduler scheduler_;
 };
 
 } // namespace sts::rgt

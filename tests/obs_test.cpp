@@ -591,6 +591,8 @@ TEST_P(TraceRoundTrip, SolverRunExportsAWellFormedChromeTrace) {
 
   std::map<double, ParsedTrack> tracks;
   std::map<double, double> last_end; // per tid, event completion order
+  std::map<double, std::vector<std::pair<double, double>>> iters; // per tid
+  std::vector<std::pair<double, double>> kernels; // (tid, ts)
   int iter_spans = 0;
   int kernel_spans = 0;
   for (const Json& ev : events->array) {
@@ -619,16 +621,37 @@ TEST_P(TraceRoundTrip, SolverRunExportsAWellFormedChromeTrace) {
     if (name.rfind("iter[", 0) == 0) {
       ++iter_spans;
       EXPECT_NE(cat.find("lanczos."), std::string::npos);
+      iters[tid->number].emplace_back(ts->number, end);
     }
-    if (cat == "spmv" || cat == "spmm") ++kernel_spans;
+    if (cat == "spmv" || cat == "spmm") {
+      ++kernel_spans;
+      kernels.emplace_back(tid->number, ts->number);
+    }
   }
   EXPECT_EQ(iter_spans, r.timing.iterations);
   EXPECT_GT(kernel_spans, 0);
   for (const auto& [tid, track] : tracks) check_nesting(track.spans);
-  // The task runtimes run kernels on dedicated workers, away from the
-  // driver thread's track.
-  if (GetParam() == Version::kFlux || GetParam() == Version::kRgt) {
+  // flux runs kernels on dedicated workers, away from the calling
+  // thread's track.
+  if (GetParam() == Version::kFlux) {
     EXPECT_GE(tracks.size(), 2u);
+  }
+  // rgt's launching thread also runs kernels, but only while it waits in
+  // an iteration's wait_all(): a kernel on the calling thread's track lies
+  // inside one of its iteration spans.
+  if (GetParam() == Version::kRgt) {
+    for (const auto& [tid, ts] : kernels) {
+      const auto it = iters.find(tid);
+      if (it == iters.end()) continue; // a pool worker's track
+      const bool inside = std::any_of(
+          it->second.begin(), it->second.end(),
+          [ts = ts](const auto& span) {
+            return ts >= span.first && ts <= span.second;
+          });
+      EXPECT_TRUE(inside) << "kernel at " << ts
+                          << " on the calling thread's track, outside"
+                          << " every iteration span";
+    }
   }
 }
 

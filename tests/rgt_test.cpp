@@ -390,6 +390,113 @@ TEST(Faults, WaitAllDeadlineReportsInFlightTasks) {
   rt.wait_all(std::chrono::seconds(5));
 }
 
+// Spins until `flag` is set, failing the test (instead of hanging it) if
+// nobody sets it within 5 s.
+void spin_until(const std::atomic<bool>& flag) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      ADD_FAILURE() << "flag never set: nobody ran the releasing task";
+      return;
+    }
+    std::this_thread::yield();
+  }
+}
+
+TEST(Launcher, RunsReadyTasksWhileWaiting) {
+  // The only worker is held by "a" until "b" runs, so "b" can only run on
+  // the launching thread inside wait_all().
+  std::vector<double> data(2, 0.0);
+  Runtime rt(cfg(1));
+  const RegionId r = rt.register_region(data, "d");
+  rt.partition_equal(r, 2);
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> b_ran{false};
+  std::atomic<int> b_worker{-1};
+  rt.execute({[&](TaskContext&) {
+                a_started.store(true, std::memory_order_release);
+                spin_until(b_ran);
+              },
+              {{r, 0, Privilege::kWrite}},
+              "a"});
+  spin_until(a_started);
+  rt.execute({[&](TaskContext& ctx) {
+                b_worker.store(ctx.worker());
+                b_ran.store(true, std::memory_order_release);
+              },
+              {{r, 1, Privilege::kWrite}},
+              "b"});
+  rt.wait_all();
+  EXPECT_EQ(b_worker.load(), 1);
+  EXPECT_GE(rt.stats().tasks_helped, 1u);
+}
+
+TEST(Launcher, ReducesIntoItsOwnSlot) {
+  // "a" reduces on the only worker (slot 0) and holds it until "b", a
+  // reducer of the same epoch, has run on the launcher (slot cpu_workers).
+  // Dyadic values make the folded sum exact in any order.
+  std::vector<double> acc(4, 1.0);
+  Runtime rt(cfg(1));
+  const RegionId r = rt.register_region(acc, "acc");
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> b_ran{false};
+  std::atomic<int> a_worker{-1};
+  std::atomic<int> b_worker{-1};
+  rt.execute({[&, r](TaskContext& ctx) {
+                a_worker.store(ctx.worker());
+                auto buf = ctx.reduce_target(r);
+                for (std::size_t k = 0; k < buf.size(); ++k) {
+                  buf[k] += 0.5 + static_cast<double>(k) / 8.0;
+                }
+                a_started.store(true, std::memory_order_release);
+                spin_until(b_ran);
+              },
+              {{r, -1, Privilege::kReduce}},
+              "a"});
+  spin_until(a_started);
+  rt.execute({[&, r](TaskContext& ctx) {
+                b_worker.store(ctx.worker());
+                auto buf = ctx.reduce_target(r);
+                for (std::size_t k = 0; k < buf.size(); ++k) buf[k] += 0.25;
+                b_ran.store(true, std::memory_order_release);
+              },
+              {{r, -1, Privilege::kReduce}},
+              "b"});
+  rt.wait_all(); // closes the epoch: the fold sums both slots
+  EXPECT_EQ(a_worker.load(), 0);
+  EXPECT_EQ(b_worker.load(), static_cast<int>(rt.cpu_workers()));
+  for (std::size_t k = 0; k < acc.size(); ++k) {
+    EXPECT_EQ(acc[k], 1.75 + static_cast<double>(k) / 8.0) << "k=" << k;
+  }
+}
+
+TEST(Launcher, FullWindowHelpsInsteadOfBlocking) {
+  // With a window of 2, nearly every execute() waits for room and runs
+  // tasks on the launcher meanwhile; the chained updates stay ordered.
+  std::vector<double> data(4, 0.0);
+  Runtime rt({.cpu_workers = 2, .window = 2});
+  const RegionId r = rt.register_region(data, "d");
+  rt.partition_equal(r, 4);
+  for (int i = 0; i < 200; ++i) {
+    const std::int32_t p = i % 4;
+    rt.execute({[&data, p, i](TaskContext&) {
+                  double& x = data[static_cast<std::size_t>(p)];
+                  x = 2.0 * x + static_cast<double>(i);
+                },
+                {{r, p, Privilege::kReadWrite}},
+                "step"});
+  }
+  rt.wait_all();
+  for (std::int32_t p = 0; p < 4; ++p) {
+    // Serial replay: any reordering of a piece's updates changes the value.
+    double x = 0.0;
+    for (int i = p; i < 200; i += 4) x = 2.0 * x + static_cast<double>(i);
+    EXPECT_EQ(data[static_cast<std::size_t>(p)], x) << "piece " << p;
+  }
+  EXPECT_EQ(rt.stats().tasks_launched, 200u);
+}
+
 TEST(Runtime, StatsTrackAnalysis) {
   std::vector<double> d(4, 0.0);
   Runtime rt(cfg(2));

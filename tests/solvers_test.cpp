@@ -152,6 +152,50 @@ TEST(Solvers, TraceRecordingProducesEvents) {
   EXPECT_GT(trace.events().size(), 10u);
 }
 
+TEST(Solvers, RgtResultsDoNotDependOnWorkerCount) {
+  // rgt's dependence analysis fixes every task's inputs and each block's
+  // summation order, so whichever thread runs a task -- a pool worker or
+  // the launcher helping in wait_all() -- the results are bit-identical.
+  Problem p = fem_problem(16);
+  LobpcgOptions o;
+  static_cast<SolverOptions&>(o) = base_options(16);
+  o.nev = 4;
+  o.tolerance = 1e-300; // fixed iteration count
+  std::vector<double> ritz;
+  std::vector<double> eig;
+  for (unsigned t : {1u, 2u, 3u}) {
+    o.threads = t;
+    const auto lz = lanczos(p.csr, p.csb, 30, Version::kRgt, o);
+    const auto lo = lobpcg(p.csr, p.csb, 15, Version::kRgt, o);
+    if (t == 1) {
+      ritz = lz.ritz_values;
+      eig = lo.eigenvalues;
+      ASSERT_FALSE(ritz.empty());
+      ASSERT_EQ(eig.size(), 4u);
+      continue;
+    }
+    EXPECT_EQ(lz.ritz_values, ritz) << t << " workers";
+    EXPECT_EQ(lo.eigenvalues, eig) << t << " workers";
+  }
+}
+
+TEST(Solvers, RgtTraceWorkerIdsStayInRange) {
+  // Pool workers record 0..2; the launcher records as worker 3, which the
+  // 3-lane recorder routes to its overflow lane.
+  Problem p = fem_problem(16);
+  perf::TraceRecorder trace(3);
+  SolverOptions o = base_options(16);
+  o.threads = 3;
+  o.trace = &trace;
+  (void)lanczos(p.csr, p.csb, 10, Version::kRgt, o);
+  const auto events = trace.events();
+  ASSERT_GT(events.size(), 10u);
+  for (const perf::TaskEvent& ev : events) {
+    EXPECT_GE(ev.worker, 0);
+    EXPECT_LE(ev.worker, 3);
+  }
+}
+
 TEST(Solvers, DifferentMatrixClassesConverge) {
   struct Case {
     sparse::Coo coo;

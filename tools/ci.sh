@@ -4,13 +4,13 @@
 # whole gauntlet in order:
 #
 #   tier1        configure + full build + complete ctest suite (JUnit out)
-#                + 20x repeat stress over the flux/solvers/cg labels
+#                + 20x repeat stress over the flux/rgt/solvers/cg labels
 #   chaos        kill/restart recovery e2e + journal-replay corruption fuzz
 #   numa         topology fixtures, pinned re-runs, steal-tier bench
 #   dispatch     scheduler/partition/quota tests + fifo-vs-fair bench
 #   asan         AddressSanitizer build + concurrency-heavy labels
-#   tsan         ThreadSanitizer pass over flux + obs + dispatcher structures
-#                + the svc server's start/stop path
+#   tsan         ThreadSanitizer pass over flux + rgt + obs + dispatcher
+#                structures + the svc server's start/stop path
 #   bench        microbench exports (BENCH_kernels/obs/cg.json)
 #   format       git clang-format --diff over the changed files
 #   bench-check  compare BENCH_*.json medians against bench/baselines/
@@ -43,10 +43,11 @@ stage_tier1() {
   cmake --build "$build" -j "$jobs"
   ctest --test-dir "$build" --output-on-failure -j "$jobs" \
     --output-junit "$build/ctest-junit.xml"
-  # Stress: the labels that run the lock-free future/dataflow layer and the
-  # flux solver drivers, repeated so an intermittent race fails the gate.
+  # Stress: the labels that run the lock-free future/dataflow layer, the
+  # rgt runtime (its launcher runs tasks alongside the pool) and the task
+  # solvers, repeated so an intermittent race fails the gate.
   ctest --test-dir "$build" --output-on-failure -j "$jobs" \
-    --repeat until-fail:20 -L "flux|solvers|cg"
+    --repeat until-fail:20 -L "flux|rgt|solvers|cg"
 }
 
 stage_chaos() {
@@ -89,7 +90,7 @@ stage_dispatch() {
 }
 
 stage_asan() {
-  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/solvers/la/ds/sim/sparse/bsp labels =="
+  echo "== asan: build + svc/dispatch/faults/chaos/cg/flux/rgt/solvers/la/ds/sim/sparse/bsp labels =="
   # cg joins the concurrency-heavy set: the SpTRSV DAG executor and the
   # flux CG driver juggle per-block futures whose lifetime bugs only ASan
   # would catch, and the cg label carries the randomized property tests
@@ -105,16 +106,19 @@ stage_asan() {
   # cover the matrix builders: Csr::from_coo and Csb::from_csr scatter into
   # raw AlignedBuffers through per-row and per-block cursor arrays, and the
   # bsp kernels walk the resulting block streams, so a cursor that runs
-  # past its bucket is an out-of-bounds write only ASan reports.
+  # past its bucket is an out-of-bounds write only ASan reports. rgt
+  # indexes per-slot reduction instances by TaskContext::worker(), which
+  # includes the launcher's extra slot, and its completion closures touch
+  # the runtime up to the moment its destructor joins the pool.
   cmake -B "$asan_build" -S "$repo" -DSTS_SANITIZE=address \
     -DSTS_BUILD_BENCH=OFF
   cmake --build "$asan_build" -j "$jobs"
   ctest --test-dir "$asan_build" --output-on-failure -j "$jobs" \
-    -L "svc|dispatch|faults|chaos|cg|flux|solvers|la|ds|sim|sparse|bsp"
+    -L "svc|dispatch|faults|chaos|cg|flux|rgt|solvers|la|ds|sim|sparse|bsp"
 }
 
 stage_tsan() {
-  echo "== tsan: build + flux/metric/trace/profiler race checks =="
+  echo "== tsan: build + flux/rgt/metric/trace/profiler race checks =="
   # Scoped to the hand-rolled atomics where TSan has teeth: the whole flux
   # runtime (work-stealing rings, the lock-free future state word, the
   # dataflow nodes' countdowns and links), the hot/cold histogram
@@ -125,6 +129,12 @@ stage_tsan() {
     -DSTS_BUILD_BENCH=OFF
   cmake --build "$tsan_build" -j "$jobs" --target flux_test
   "$tsan_build/tests/flux_test"
+  # The rgt runtime on top of that pool: per-slot reduction bookkeeping
+  # written by concurrent workers and the launcher, and the launcher
+  # running tasks while it waits. rgt_test links only sts_rgt -> sts_flux
+  # and never enters an OpenMP region.
+  cmake --build "$tsan_build" -j "$jobs" --target rgt_test
+  "$tsan_build/tests/rgt_test"
   cmake --build "$tsan_build" -j "$jobs" --target obs_test
   "$tsan_build/tests/obs_test" \
     --gtest_filter='Registry.*:Histogram.*:Prometheus.*:Profiler.*:JobTrace.*'
