@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "bsp/kernels.hpp"
-#include "flux/dataflow.hpp"
 #include "la/blas.hpp"
 #include "la/sptrsv.hpp"
 #include "obs/obs.hpp"
@@ -194,25 +193,25 @@ int apply_restore(const SolverOptions& options, State& s) {
   return static_cast<int>(st.iterations);
 }
 
+/// ckpt::save_if_due for CG; a flux solve passes its scheduler as `drain`,
+/// whose tail tasks may still write x/r/p until it quiesces.
 void maybe_checkpoint(const SolverOptions& options, const State& s,
-                      int completed, int every) {
-  if (options.ckpt_path.empty() || completed % every != 0) return;
-  ckpt::Checkpoint c;
-  c.kind = ckpt::Kind::kCg;
-  ckpt::CgState& st = c.cg;
-  st.seed = options.seed;
-  st.m = s.m;
-  st.iterations = completed;
-  st.rho = s.rho;
-  st.x = s.x;
-  st.r = s.r;
-  st.p = s.p;
-  try {
-    ckpt::save(c, options.ckpt_path);
-  } catch (const std::exception& e) {
-    obs::counter("solver.ckpt_errors").add();
-    obs::instant(std::string("ckpt: ") + e.what(), "solver");
-  }
+                      int completed, int every,
+                      flux::Scheduler* drain = nullptr) {
+  ckpt::save_if_due(options.ckpt_path, completed, every, [&] {
+    if (drain != nullptr) drain->wait_for_quiescence();
+    ckpt::Checkpoint c;
+    c.kind = ckpt::Kind::kCg;
+    ckpt::CgState& st = c.cg;
+    st.seed = options.seed;
+    st.m = s.m;
+    st.iterations = completed;
+    st.rho = s.rho;
+    st.x = s.x;
+    st.r = s.r;
+    st.p = s.p;
+    return c;
+  });
 }
 
 void publish_residual(double rel) {
@@ -302,39 +301,23 @@ CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
 
 // --------------------------------------------------------------------------
 // flux (HPX-style) version: SpMV and the vector updates run as per-block
-// dataflow tasks threaded through futures exactly like the Lanczos flux
-// driver; the IC(0) triangular solves run as the DAG-scheduled SpTRSV.
-// CG's two inner products are genuine synchronization points (alpha and
-// beta are host-side scalars), so each iteration syncs twice — the rest of
-// the graph overlaps freely across those barriers.
+// tasks whose dependencies FluxSolve's STF layer infers from their declared
+// accesses, as in the Lanczos flux driver; the IC(0) triangular solves run
+// as the DAG-scheduled SpTRSV. CG's two inner products are genuine
+// synchronization points (alpha and beta are host-side scalars), so each
+// iteration syncs twice — the rest of the graph overlaps freely across
+// those barriers.
 // --------------------------------------------------------------------------
 
 CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
                   const SolverOptions& options, Preconditioner& pre) {
+  using flux::read;
+  using flux::write;
+  using graph::KernelKind;
   State s = make_state(csb.rows(), options);
   const index_t b = options.block_size;
   STS_EXPECTS(csb.block_size() == b);
   const index_t np = csb.block_rows();
-  const index_t m = s.m;
-
-  std::unique_ptr<flux::Scheduler> owned_sched;
-  flux::Scheduler& sched = acquire_flux_pool(options, owned_sched);
-  flux::QuiesceOnExit quiesce(sched);
-  perf::TraceRecorder* trace = options.trace;
-
-  using Fut = flux::shared_future<void>;
-  auto ready = [] { return flux::make_ready_future(); };
-
-  auto traced = [&](graph::KernelKind kind, std::int32_t bi, auto fn) {
-    return flux_traced(sched, trace, kind, bi, std::move(fn));
-  };
-
-  auto rows_in = [&](index_t p) { return std::min(b, m - p * b); };
-  const sparse::Csb::DomainMap dmap =
-      csb.partition_block_rows(options.numa_domains);
-  auto domain_of = [&](index_t p) -> int {
-    return options.numa_domains > 1 ? dmap.owner(p) : -1;
-  };
   // The factor's own stripe partition: its block grid differs from A's
   // (different nnz distribution), so the SpTRSV tasks hint through a map
   // computed on the factor, matching how place_csb would stripe it.
@@ -344,18 +327,6 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
     fdmap = pre.lower_csb.partition_block_rows(options.numa_domains);
     fdmap_ptr = &fdmap;
   }
-
-  // Per-piece last-writer futures and outstanding-reader sets (see the
-  // dependence walkthrough in DESIGN.md §16).
-  std::vector<Fut> p_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> q_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> r_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> x_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> z_w(static_cast<std::size_t>(np), ready());
-  std::vector<std::vector<Fut>> p_r(static_cast<std::size_t>(np));
-  std::vector<std::vector<Fut>> q_r(static_cast<std::size_t>(np));
-  std::vector<std::vector<Fut>> r_r(static_cast<std::size_t>(np));
-  std::vector<std::vector<Fut>> z_r(static_cast<std::size_t>(np));
 
   CgResult result;
   const int start = apply_restore(options, s);
@@ -369,15 +340,8 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   }
   double rel = la::nrm2(s.r) / s.norm_b;
 
-  std::vector<double>* x = &s.x;
-  std::vector<double>* r = &s.r;
-  std::vector<double>* p = &s.p;
-  std::vector<double>* z = &s.z;
-  std::vector<double>* q = &s.q;
-  const sparse::Csb* a = &csb;
-
-  // Host-side scalar cells tasks read; every reader is submitted after the
-  // host write and ordered behind it by a future the host synced on.
+  // Scalars the host writes and tasks read (alpha, beta), scalars reduce
+  // tasks write and the host reads (pq, rho_new, rr), and their partials.
   double alpha = 0.0;
   double beta = 0.0;
   double pq = 0.0;
@@ -386,9 +350,34 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   std::vector<double> pq_part(static_cast<std::size_t>(np), 0.0);
   std::vector<double> rho_part(static_cast<std::size_t>(np), 0.0);
   std::vector<double> rr_part(static_cast<std::size_t>(np), 0.0);
+
+  FluxSolve fx(csb, options);
+  const int dx = fx.data(np);
+  const int dr = fx.data(np);
+  const int dp = fx.data(np);
+  const int dz = fx.data(np);
+  const int dq = fx.data(np);
+  const int dpq_part = fx.data(np);
+  const int drho_part = fx.data(np); // rho_part and rr_part
+  const int dalpha = fx.data(1);
+  const int dbeta = fx.data(1);
+  const int dpq = fx.data(1);
+  const int drho = fx.data(1); // rho_new and rr
+
+  std::vector<double>* x = &s.x;
+  std::vector<double>* r = &s.r;
+  std::vector<double>* p = &s.p;
+  std::vector<double>* z = &s.z;
+  std::vector<double>* q = &s.q;
+  const sparse::Csb* a = &csb;
   std::vector<double>* pqp = &pq_part;
   std::vector<double>* rhop = &rho_part;
   std::vector<double>* rrp = &rr_part;
+  double* pq_cell = &pq;
+  double* rho_cell = &rho_new;
+  double* rr_cell = &rr;
+  const double* alpha_cell = &alpha;
+  const double* beta_cell = &beta;
 
   const support::Timer timer;
   for (int i = start; i < cg_options.max_iterations && rel > cg_options.tol;
@@ -397,79 +386,47 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
     obs::IterScope iter("cg.flux", i);
 
     // q = A p: zero chain + one task per nonempty block.
-    std::vector<Fut> q_chain(static_cast<std::size_t>(np));
     for (index_t bi = 0; bi < np; ++bi) {
       const index_t r0 = bi * b;
-      const index_t nr = rows_in(bi);
-      auto zero = traced(graph::KernelKind::kZero,
-                         static_cast<std::int32_t>(bi), [q, r0, nr] {
-                           std::fill_n(q->begin() + r0, nr, 0.0);
-                         });
-      q_chain[static_cast<std::size_t>(bi)] =
-          flux::dataflow_hint(sched, domain_of(bi), flux::unwrapping(zero),
-                              q_w[static_cast<std::size_t>(bi)],
-                              std::move(q_r[static_cast<std::size_t>(bi)]))
-              .share();
-      q_r[static_cast<std::size_t>(bi)].clear();
+      const index_t nr = fx.rows_in(bi);
+      fx.task(KernelKind::kZero, bi,
+              [q, r0, nr] { std::fill_n(q->begin() + r0, nr, 0.0); },
+              {write(dq, bi)});
     }
     for (index_t bi = 0; bi < np; ++bi) {
       for (index_t bj = 0; bj < np; ++bj) {
         if (options.skip_empty_blocks && a->block_empty(bi, bj)) continue;
-        auto body = traced(graph::KernelKind::kSpMV,
-                           static_cast<std::int32_t>(bi), [p, q, a, bi, bj] {
-                             sparse::csb_block_spmv(
-                                 *a, bi, bj,
-                                 {p->data(), p->size()},
-                                 {q->data(), q->size()});
-                           });
-        Fut f = flux::dataflow_hint(sched, domain_of(bi),
-                                    flux::unwrapping(body),
-                                    q_chain[static_cast<std::size_t>(bi)],
-                                    p_w[static_cast<std::size_t>(bj)])
-                    .share();
-        q_chain[static_cast<std::size_t>(bi)] = f;
-        p_r[static_cast<std::size_t>(bj)].push_back(f);
+        fx.task(KernelKind::kSpMV, bi,
+                [p, q, a, bi, bj] {
+                  sparse::csb_block_spmv(*a, bi, bj, {p->data(), p->size()},
+                                         {q->data(), q->size()});
+                },
+                {read(dp, bj), write(dq, bi)});
       }
-    }
-    for (index_t bi = 0; bi < np; ++bi) {
-      q_w[static_cast<std::size_t>(bi)] =
-          q_chain[static_cast<std::size_t>(bi)];
     }
 
     // pq = p . q: partials, reduce, host sync (alpha needs the value).
-    std::vector<Fut> dp(static_cast<std::size_t>(np));
     for (index_t pi = 0; pi < np; ++pi) {
       const index_t r0 = pi * b;
-      const index_t nr = rows_in(pi);
-      auto body = traced(graph::KernelKind::kDotPartial,
-                         static_cast<std::int32_t>(pi), [p, q, pqp, r0, nr,
-                                                         pi] {
-                           (*pqp)[static_cast<std::size_t>(pi)] = la::dot(
-                               {p->data() + r0, static_cast<std::size_t>(nr)},
-                               {q->data() + r0, static_cast<std::size_t>(nr)});
-                         });
-      dp[static_cast<std::size_t>(pi)] =
-          flux::dataflow_hint(sched, domain_of(pi), flux::unwrapping(body),
-                              q_w[static_cast<std::size_t>(pi)],
-                              p_w[static_cast<std::size_t>(pi)])
-              .share();
+      const index_t nr = fx.rows_in(pi);
+      fx.task(KernelKind::kDotPartial, pi,
+              [p, q, pqp, r0, nr, pi] {
+                (*pqp)[static_cast<std::size_t>(pi)] = la::dot(
+                    {p->data() + r0, static_cast<std::size_t>(nr)},
+                    {q->data() + r0, static_cast<std::size_t>(nr)});
+              },
+              {read(dp, pi), read(dq, pi), write(dpq_part, pi)});
     }
-    double* pq_cell = &pq;
-    Fut pq_f = flux::dataflow(
-                   sched,
-                   flux::unwrapping(traced(graph::KernelKind::kReduce, -1,
-                                           [pqp, pq_cell, np] {
-                                             double acc = 0.0;
-                                             for (index_t pi = 0; pi < np;
-                                                  ++pi) {
-                                               acc += (*pqp)[static_cast<
-                                                   std::size_t>(pi)];
-                                             }
-                                             *pq_cell = acc;
-                                           })),
-                   dp)
-                   .share();
-    pq_f.get(&sched);
+    fx.task(KernelKind::kReduce, -1,
+            [pqp, pq_cell, np] {
+              double acc = 0.0;
+              for (index_t pi = 0; pi < np; ++pi) {
+                acc += (*pqp)[static_cast<std::size_t>(pi)];
+              }
+              *pq_cell = acc;
+            },
+            {read(dpq_part), write(dpq)});
+    fx.sync({read(dpq), write(dalpha)});
     if (!std::isfinite(pq)) {
       result.status = SolverStatus::kNotFinite;
       break;
@@ -481,136 +438,81 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
     alpha = s.rho / pq;
 
     // x += alpha p ; r -= alpha q.
-    const double* alpha_cell = &alpha;
     for (index_t pi = 0; pi < np; ++pi) {
       const index_t r0 = pi * b;
-      const index_t nr = rows_in(pi);
-      auto xbody = traced(graph::KernelKind::kAxpy,
-                          static_cast<std::int32_t>(pi),
-                          [x, p, alpha_cell, r0, nr] {
-                            la::axpy(*alpha_cell,
-                                     {p->data() + r0,
-                                      static_cast<std::size_t>(nr)},
-                                     {x->data() + r0,
-                                      static_cast<std::size_t>(nr)});
-                          });
-      Fut xf = flux::dataflow_hint(sched, domain_of(pi),
-                                   flux::unwrapping(xbody),
-                                   x_w[static_cast<std::size_t>(pi)],
-                                   p_w[static_cast<std::size_t>(pi)])
-                   .share();
-      x_w[static_cast<std::size_t>(pi)] = xf;
-      p_r[static_cast<std::size_t>(pi)].push_back(xf);
-
-      auto rbody = traced(graph::KernelKind::kAxpy,
-                          static_cast<std::int32_t>(pi),
-                          [r, q, alpha_cell, r0, nr] {
-                            la::axpy(-*alpha_cell,
-                                     {q->data() + r0,
-                                      static_cast<std::size_t>(nr)},
-                                     {r->data() + r0,
-                                      static_cast<std::size_t>(nr)});
-                          });
-      Fut rf = flux::dataflow_hint(sched, domain_of(pi),
-                                   flux::unwrapping(rbody),
-                                   r_w[static_cast<std::size_t>(pi)],
-                                   q_w[static_cast<std::size_t>(pi)],
-                                   std::move(r_r[static_cast<std::size_t>(pi)]))
-                   .share();
-      r_w[static_cast<std::size_t>(pi)] = rf;
-      r_r[static_cast<std::size_t>(pi)].clear();
-      q_r[static_cast<std::size_t>(pi)].push_back(rf);
+      const index_t nr = fx.rows_in(pi);
+      fx.task(KernelKind::kAxpy, pi,
+              [x, p, alpha_cell, r0, nr] {
+                la::axpy(*alpha_cell,
+                         {p->data() + r0, static_cast<std::size_t>(nr)},
+                         {x->data() + r0, static_cast<std::size_t>(nr)});
+              },
+              {read(dp, pi), read(dalpha), write(dx, pi)});
+      fx.task(KernelKind::kAxpy, pi,
+              [r, q, alpha_cell, r0, nr] {
+                la::axpy(-*alpha_cell,
+                         {q->data() + r0, static_cast<std::size_t>(nr)},
+                         {r->data() + r0, static_cast<std::size_t>(nr)});
+              },
+              {read(dq, pi), read(dalpha), write(dr, pi)});
     }
 
     // z = M^-1 r.
     if (pre.kind == Precond::kIc0) {
-      // The DAG solves read all of r and write all of z: drain the r
-      // writers and z readers first, then run the two solves — their own
-      // tasks carry the level-schedule dependencies internally.
-      for (index_t pi = 0; pi < np; ++pi) {
-        r_w[static_cast<std::size_t>(pi)].get(&sched);
-        for (Fut& f : z_r[static_cast<std::size_t>(pi)]) f.get(&sched);
-        z_r[static_cast<std::size_t>(pi)].clear();
-      }
-      apply_precond(pre, TrsvMode::kCsbDag, s.r, s.z, &sched, fdmap_ptr);
-      for (index_t pi = 0; pi < np; ++pi) {
-        z_w[static_cast<std::size_t>(pi)] = ready();
-      }
+      // The DAG solves read all of r and write all of z on the host's
+      // behalf; their own tasks carry the level-schedule dependencies.
+      fx.sync({read(dr), write(dz)});
+      apply_precond(pre, TrsvMode::kCsbDag, s.r, s.z, &fx.scheduler(),
+                    fdmap_ptr);
     } else {
       Preconditioner* prep = &pre;
       for (index_t pi = 0; pi < np; ++pi) {
         const index_t r0 = pi * b;
-        const index_t nr = rows_in(pi);
-        auto body = traced(graph::KernelKind::kScale,
-                           static_cast<std::int32_t>(pi),
-                           [prep, r, z, r0, nr] {
-                             if (prep->kind == Precond::kJacobi) {
-                               const std::vector<double>& d = prep->inv_diag;
-                               for (index_t k = 0; k < nr; ++k) {
-                                 (*z)[static_cast<std::size_t>(r0 + k)] =
-                                     (*r)[static_cast<std::size_t>(r0 + k)] *
-                                     d[static_cast<std::size_t>(r0 + k)];
-                               }
-                             } else {
-                               std::copy_n(r->begin() + r0, nr,
-                                           z->begin() + r0);
-                             }
-                           });
-        Fut zf = flux::dataflow_hint(
-                     sched, domain_of(pi), flux::unwrapping(body),
-                     r_w[static_cast<std::size_t>(pi)],
-                     std::move(z_r[static_cast<std::size_t>(pi)]))
-                     .share();
-        z_w[static_cast<std::size_t>(pi)] = zf;
-        z_r[static_cast<std::size_t>(pi)].clear();
-        r_r[static_cast<std::size_t>(pi)].push_back(zf);
+        const index_t nr = fx.rows_in(pi);
+        fx.task(KernelKind::kScale, pi,
+                [prep, r, z, r0, nr] {
+                  if (prep->kind == Precond::kJacobi) {
+                    const std::vector<double>& d = prep->inv_diag;
+                    for (index_t k = 0; k < nr; ++k) {
+                      (*z)[static_cast<std::size_t>(r0 + k)] =
+                          (*r)[static_cast<std::size_t>(r0 + k)] *
+                          d[static_cast<std::size_t>(r0 + k)];
+                    }
+                  } else {
+                    std::copy_n(r->begin() + r0, nr, z->begin() + r0);
+                  }
+                },
+                {read(dr, pi), write(dz, pi)});
       }
     }
 
     // rho_new = r . z and rr = r . r in one partial wave, reduce, sync.
-    std::vector<Fut> rp(static_cast<std::size_t>(np));
     for (index_t pi = 0; pi < np; ++pi) {
       const index_t r0 = pi * b;
-      const index_t nr = rows_in(pi);
-      auto body = traced(graph::KernelKind::kDotPartial,
-                         static_cast<std::int32_t>(pi),
-                         [r, z, rhop, rrp, r0, nr, pi] {
-                           const std::span<const double> rs{
-                               r->data() + r0, static_cast<std::size_t>(nr)};
-                           (*rhop)[static_cast<std::size_t>(pi)] = la::dot(
-                               rs, {z->data() + r0,
-                                    static_cast<std::size_t>(nr)});
-                           (*rrp)[static_cast<std::size_t>(pi)] =
-                               la::dot(rs, rs);
-                         });
-      Fut f = flux::dataflow_hint(sched, domain_of(pi),
-                                  flux::unwrapping(body),
-                                  z_w[static_cast<std::size_t>(pi)],
-                                  r_w[static_cast<std::size_t>(pi)])
-                  .share();
-      rp[static_cast<std::size_t>(pi)] = f;
-      r_r[static_cast<std::size_t>(pi)].push_back(f);
-      z_r[static_cast<std::size_t>(pi)].push_back(f);
+      const index_t nr = fx.rows_in(pi);
+      fx.task(KernelKind::kDotPartial, pi,
+              [r, z, rhop, rrp, r0, nr, pi] {
+                const std::span<const double> rs{r->data() + r0,
+                                                 static_cast<std::size_t>(nr)};
+                (*rhop)[static_cast<std::size_t>(pi)] = la::dot(
+                    rs, {z->data() + r0, static_cast<std::size_t>(nr)});
+                (*rrp)[static_cast<std::size_t>(pi)] = la::dot(rs, rs);
+              },
+              {read(dz, pi), read(dr, pi), write(drho_part, pi)});
     }
-    double* rho_cell = &rho_new;
-    double* rr_cell = &rr;
-    Fut rho_f =
-        flux::dataflow(sched,
-                       flux::unwrapping(traced(
-                           graph::KernelKind::kReduce, -1,
-                           [rhop, rrp, rho_cell, rr_cell, np] {
-                             double arho = 0.0;
-                             double arr = 0.0;
-                             for (index_t pi = 0; pi < np; ++pi) {
-                               arho += (*rhop)[static_cast<std::size_t>(pi)];
-                               arr += (*rrp)[static_cast<std::size_t>(pi)];
-                             }
-                             *rho_cell = arho;
-                             *rr_cell = arr;
-                           })),
-                       rp)
-            .share();
-    rho_f.get(&sched);
+    fx.task(KernelKind::kReduce, -1,
+            [rhop, rrp, rho_cell, rr_cell, np] {
+              double arho = 0.0;
+              double arr = 0.0;
+              for (index_t pi = 0; pi < np; ++pi) {
+                arho += (*rhop)[static_cast<std::size_t>(pi)];
+                arr += (*rrp)[static_cast<std::size_t>(pi)];
+              }
+              *rho_cell = arho;
+              *rr_cell = arr;
+            },
+            {read(drho_part), write(drho)});
+    fx.sync({read(drho), write(dbeta)});
     if (!std::isfinite(rho_new) || !std::isfinite(rr)) {
       result.status = SolverStatus::kNotFinite;
       break;
@@ -619,29 +521,19 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
     s.rho = rho_new;
 
     // p = z + beta p.
-    const double* beta_cell = &beta;
     for (index_t pi = 0; pi < np; ++pi) {
       const index_t r0 = pi * b;
-      const index_t nr = rows_in(pi);
-      auto body = traced(graph::KernelKind::kScale,
-                         static_cast<std::int32_t>(pi),
-                         [p, z, beta_cell, r0, nr] {
-                           const double bb = *beta_cell;
-                           for (index_t k = 0; k < nr; ++k) {
-                             (*p)[static_cast<std::size_t>(r0 + k)] =
-                                 (*z)[static_cast<std::size_t>(r0 + k)] +
-                                 bb * (*p)[static_cast<std::size_t>(r0 + k)];
-                           }
-                         });
-      Fut pf = flux::dataflow_hint(
-                   sched, domain_of(pi), flux::unwrapping(body),
-                   p_w[static_cast<std::size_t>(pi)],
-                   z_w[static_cast<std::size_t>(pi)],
-                   std::move(p_r[static_cast<std::size_t>(pi)]))
-                   .share();
-      p_w[static_cast<std::size_t>(pi)] = pf;
-      p_r[static_cast<std::size_t>(pi)].clear();
-      z_r[static_cast<std::size_t>(pi)].push_back(pf);
+      const index_t nr = fx.rows_in(pi);
+      fx.task(KernelKind::kScale, pi,
+              [p, z, beta_cell, r0, nr] {
+                const double bb = *beta_cell;
+                for (index_t k = 0; k < nr; ++k) {
+                  (*p)[static_cast<std::size_t>(r0 + k)] =
+                      (*z)[static_cast<std::size_t>(r0 + k)] +
+                      bb * (*p)[static_cast<std::size_t>(r0 + k)];
+                }
+              },
+              {read(dz, pi), read(dbeta), write(dp, pi)});
     }
 
     rel = std::sqrt(rr) / s.norm_b;
@@ -650,14 +542,9 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
     iter.metric("residual", rel);
     publish_residual(rel);
     ++result.timing.iterations;
-    // Checkpointing needs x/r/p fully written, not just the reduce gets.
-    if (!options.ckpt_path.empty() && (i + 1) % every == 0) {
-      sched.wait_for_quiescence();
-      maybe_checkpoint(options, s, i + 1, every);
-    }
+    maybe_checkpoint(options, s, i + 1, every, &fx.scheduler());
   }
-  quiesce.dismiss();
-  sched.wait_for_quiescence();
+  fx.finish();
   result.timing.total_seconds = timer.seconds();
   result.relative_residual = rel;
   result.converged =

@@ -411,6 +411,15 @@ Checkpoint load(const std::string& path) {
                      static_cast<std::size_t>(payload_len), path);
 }
 
+void save_contained(const Checkpoint& c, const std::string& path) {
+  try {
+    save(c, path);
+  } catch (const std::exception& e) {
+    obs::counter("solver.ckpt_errors").add();
+    obs::instant(std::string("ckpt: ") + e.what(), "solver");
+  }
+}
+
 int effective_every(int requested) {
   if (requested > 0) return requested;
   const std::int64_t env = support::env_int("STS_CKPT_EVERY", 10);

@@ -94,4 +94,20 @@ void save(const Checkpoint& c, const std::string& path);
 /// else the STS_CKPT_EVERY environment variable, else 10.
 [[nodiscard]] int effective_every(int requested);
 
+/// save() with the failure contained: the atomic rename left any previous
+/// checkpoint intact, so a write error is counted (solver.ckpt_errors) and
+/// logged, and the solve carries on.
+void save_contained(const Checkpoint& c, const std::string& path);
+
+/// The iteration-boundary checkpoint step of every solver: when `path` is
+/// set and `completed` is a multiple of `every`, builds the checkpoint with
+/// `pack()` and saves it through save_contained(). `pack` is not called when
+/// no checkpoint is due.
+template <typename Pack>
+void save_if_due(const std::string& path, int completed, int every,
+                 Pack&& pack) {
+  if (path.empty() || completed % every != 0) return;
+  save_contained(pack(), path);
+}
+
 } // namespace sts::solver::ckpt

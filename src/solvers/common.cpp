@@ -5,6 +5,12 @@
 
 namespace sts::solver {
 
+namespace {
+
+/// Returns the scheduler a kFlux solve should run on: options.flux_pool
+/// when set (after validating its domain count against
+/// options.numa_domains), otherwise a private scheduler constructed into
+/// `owned` from the options' thread/NUMA configuration.
 flux::Scheduler& acquire_flux_pool(const SolverOptions& options,
                                    std::unique_ptr<flux::Scheduler>& owned) {
   if (options.flux_pool != nullptr) {
@@ -25,6 +31,35 @@ flux::Scheduler& acquire_flux_pool(const SolverOptions& options,
       // multi-node machine pins its workers just like the service does.
       .affinity = flux::Scheduler::Config::affinity_from_env()});
   return *owned;
+}
+
+} // namespace
+
+FluxSolve::FluxSolve(const sparse::Csb& a, const SolverOptions& options)
+    : stf_(acquire_flux_pool(options, owned_)), quiesce_(stf_.scheduler()),
+      a_(&a), skip_empty_(options.skip_empty_blocks),
+      dmap_(a.partition_block_rows(options.numa_domains)),
+      numa_(options.numa_domains > 1), trace_(options.trace) {}
+
+void FluxSolve::spmm(graph::KernelKind kind, la::DenseMatrix* x, int dx,
+                     la::DenseMatrix* y, int dy) {
+  const sparse::Csb* a = a_;
+  const index_t np = a->block_rows();
+  for (index_t bi = 0; bi < np; ++bi) {
+    task(graph::KernelKind::kZero, bi,
+         [a, y, bi] { sparse::csb_block_zero(*a, bi, y->view()); },
+         {flux::write(dy, bi)});
+  }
+  for (index_t bi = 0; bi < np; ++bi) {
+    for (index_t bj = 0; bj < np; ++bj) {
+      if (skip_empty_ && a->block_empty(bi, bj)) continue;
+      task(kind, bi,
+           [a, x, y, bi, bj] {
+             sparse::csb_block_spmm(*a, bi, bj, x->view(), y->view());
+           },
+           {flux::read(dx, bj), flux::write(dy, bi)});
+    }
+  }
 }
 
 sparse::Csb::DomainMap place_csb(sparse::Csb& csb, flux::Scheduler& sched) {

@@ -9,16 +9,20 @@
 //   kRgt     - Regent-style regions/privileges             ("regent")
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "flux/scheduler.hpp"
+#include "flux/stf.hpp"
 #include "la/dense.hpp"
 #include "obs/obs.hpp"
 #include "perf/trace.hpp"
+#include "rgt/runtime.hpp"
 #include "sparse/csb.hpp"
 #include "sparse/csr.hpp"
 #include "support/cancel.hpp"
@@ -143,12 +147,92 @@ auto flux_traced(const flux::Scheduler& sched, perf::TraceRecorder* trace,
   };
 }
 
-/// Returns the scheduler a kFlux solve should run on: options.flux_pool
-/// when set (after validating its domain count against
-/// options.numa_domains), otherwise a private scheduler constructed into
-/// `owned` from the options' thread/NUMA configuration.
-[[nodiscard]] flux::Scheduler& acquire_flux_pool(
-    const SolverOptions& options, std::unique_ptr<flux::Scheduler>& owned);
+/// flux_traced() for rgt task bodies. The event names the running slot: a
+/// pool worker, or the launcher's extra slot while it helps in wait_all().
+template <typename Fn>
+auto rgt_traced(perf::TraceRecorder* trace, graph::KernelKind kind,
+                std::int32_t id, Fn fn) {
+  return [trace, kind, id, fn = std::move(fn)](rgt::TaskContext& ctx) {
+    const obs::prof::TaskMark mark("rgt", kind);
+    if (trace == nullptr && !obs::task_timing_enabled()) {
+      fn(ctx);
+      return;
+    }
+    perf::TaskEvent ev;
+    ev.kind = kind;
+    ev.task_id = id;
+    ev.worker = std::max(0, ctx.worker());
+    ev.start_ns = support::now_ns();
+    fn(ctx);
+    ev.end_ns = support::now_ns();
+    obs::publish_task("rgt", ev, trace);
+  };
+}
+
+/// What a kFlux driver runs on: options.flux_pool or a private scheduler,
+/// and the STF layer (flux/stf.hpp) that infers every task's dependencies from
+/// its declared accesses. A task on block row p gets p's domain hint — the
+/// same nnz-balanced stripe map place_csb() uses, so it runs on the node
+/// that holds its stripe's pages — and a flux_traced() wrapper with id p.
+/// If the driver unwinds (cancellation, a task fault), the destructor
+/// quiesces the scheduler; declare everything the tasks touch before it.
+class FluxSolve {
+public:
+  FluxSolve(const sparse::Csb& a, const SolverOptions& options);
+
+  [[nodiscard]] flux::Scheduler& scheduler() const {
+    return stf_.scheduler();
+  }
+
+  /// Registers an object of `pieces` pieces (block rows, or 1).
+  int data(index_t pieces) { return stf_.data(pieces); }
+
+  /// Rows in block row p (the last one may be short).
+  [[nodiscard]] index_t rows_in(index_t p) const {
+    const index_t b = a_->block_size();
+    return std::min(b, a_->rows() - p * b);
+  }
+
+  /// Inserts `fn` for block row `row`; row -1 marks a task over whole
+  /// objects (a reduction or a small dense step): no hint, trace id -1.
+  template <typename Fn>
+  flux::Stf::Fut task(graph::KernelKind kind, index_t row, Fn fn,
+                      std::initializer_list<flux::Access> accesses) {
+    const int hint = row >= 0 && numa_ ? dmap_.owner(row) : -1;
+    return stf_.insert(hint,
+                       flux_traced(scheduler(), trace_, kind,
+                                   static_cast<std::int32_t>(row),
+                                   std::move(fn)),
+                       accesses);
+  }
+
+  /// y = A x for the solve's matrix: per output block row, a zero task and
+  /// then a chain of `kind` block products, skipping empty blocks when the
+  /// options ask. `dx`/`dy` are the handles of x and y (one piece per row).
+  void spmm(graph::KernelKind kind, la::DenseMatrix* x, int dx,
+            la::DenseMatrix* y, int dy);
+
+  /// Host access to tracked objects (see flux::Stf::sync).
+  void sync(std::initializer_list<flux::Access> accesses) {
+    stf_.sync(accesses);
+  }
+
+  /// Normal exit: waits for every task and rethrows a task failure.
+  void finish() {
+    quiesce_.dismiss();
+    scheduler().wait_for_quiescence();
+  }
+
+private:
+  std::unique_ptr<flux::Scheduler> owned_; // empty on a shared pool
+  flux::Stf stf_;
+  flux::QuiesceOnExit quiesce_;
+  const sparse::Csb* a_;
+  bool skip_empty_;
+  sparse::Csb::DomainMap dmap_;
+  bool numa_;
+  perf::TraceRecorder* trace_;
+};
 
 /// First-touch placement of `csb`'s domain stripes onto `sched`'s domains:
 /// partitions the block rows (nnz-balanced), then re-materializes each

@@ -5,7 +5,6 @@
 #include "bsp/kernels.hpp"
 #include "ds/executor.hpp"
 #include "ds/program.hpp"
-#include "flux/dataflow.hpp"
 #include "la/eig.hpp"
 #include "obs/obs.hpp"
 #include "rgt/runtime.hpp"
@@ -125,31 +124,28 @@ int apply_restore(const SolverOptions& options, State& s,
 }
 
 /// Writes a checkpoint after `completed` accepted iterations when the
-/// options ask for one. Only called where the iteration state is quiescent.
-/// A write failure is contained: the atomic rename left any previous
-/// checkpoint intact, so the solve logs, counts and carries on.
+/// options ask for one (ckpt::save_if_due). Called at an iteration boundary;
+/// a flux solve passes its scheduler as `drain`, whose tail tasks may still
+/// write the state until it quiesces.
 void maybe_checkpoint(const SolverOptions& options, const State& s,
                       const std::vector<double>& alphas,
                       const std::vector<double>& betas, int completed,
-                      int every) {
-  if (options.ckpt_path.empty() || completed % every != 0) return;
-  ckpt::Checkpoint c;
-  c.kind = ckpt::Kind::kLanczos;
-  ckpt::LanczosState& st = c.lanczos;
-  st.seed = options.seed;
-  st.m = s.m;
-  st.cols = s.cols;
-  st.iterations = completed;
-  st.alphas = alphas;
-  st.betas = betas;
-  st.basis.assign(s.Q.flat().begin(), s.Q.flat().end());
-  st.q.assign(s.q.flat().begin(), s.q.flat().end());
-  try {
-    ckpt::save(c, options.ckpt_path);
-  } catch (const std::exception& e) {
-    obs::counter("solver.ckpt_errors").add();
-    obs::instant(std::string("ckpt: ") + e.what(), "solver");
-  }
+                      int every, flux::Scheduler* drain = nullptr) {
+  ckpt::save_if_due(options.ckpt_path, completed, every, [&] {
+    if (drain != nullptr) drain->wait_for_quiescence();
+    ckpt::Checkpoint c;
+    c.kind = ckpt::Kind::kLanczos;
+    ckpt::LanczosState& st = c.lanczos;
+    st.seed = options.seed;
+    st.m = s.m;
+    st.cols = s.cols;
+    st.iterations = completed;
+    st.alphas = alphas;
+    st.betas = betas;
+    st.basis.assign(s.Q.flat().begin(), s.Q.flat().end());
+    st.q.assign(s.q.flat().begin(), s.q.flat().end());
+    return c;
+  });
 }
 
 LanczosResult finalize(std::vector<double> alphas, std::vector<double> betas,
@@ -228,9 +224,6 @@ LanczosResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb, int k,
 
 LanczosResult run_ds(const sparse::Csb& csb, int k,
                      const SolverOptions& options) {
-#ifdef _OPENMP
-  omp_set_num_threads(static_cast<int>(options.threads));
-#endif
   State s = make_state(csb, k, options);
   std::vector<double> alphas;
   std::vector<double> betas;
@@ -293,52 +286,20 @@ LanczosResult run_ds(const sparse::Csb& csb, int k,
 }
 
 // --------------------------------------------------------------------------
-// flux (HPX-style) version: futures per vector piece, dataflow chains as in
-// the paper's Listing 2.
+// flux (HPX-style) version: one task per vector piece as in the paper's
+// Listing 2, with the futures between them inferred by FluxSolve's STF layer
+// from each task's declared reads and writes.
 // --------------------------------------------------------------------------
 
 LanczosResult run_flux(const sparse::Csb& csb, int k,
                        const SolverOptions& options) {
+  using flux::read;
+  using flux::write;
+  using graph::KernelKind;
   State s = make_state(csb, k, options);
   const index_t b = options.block_size;
   STS_EXPECTS(csb.block_size() == b);
   const index_t np = csb.block_rows();
-  const index_t m = s.m;
-
-  std::unique_ptr<flux::Scheduler> owned_sched;
-  flux::Scheduler& sched = acquire_flux_pool(options, owned_sched);
-  // If anything below unwinds (cancellation, a task fault), quiesce before
-  // the iteration state dies — mandatory when `sched` is a shared pool
-  // whose workers outlive this call.
-  flux::QuiesceOnExit quiesce(sched);
-  perf::TraceRecorder* trace = options.trace;
-
-  using Fut = flux::shared_future<void>;
-  auto ready = [] { return flux::make_ready_future(); };
-
-  auto traced = [&](graph::KernelKind kind, std::int32_t bi, auto fn) {
-    return flux_traced(sched, trace, kind, bi, std::move(fn));
-  };
-
-  auto rows_in = [&](index_t p) { return std::min(b, m - p * b); };
-  // Domain hints follow the same nnz-balanced stripe partition
-  // place_stripes() used (it is deterministic in (matrix, domains)), so a
-  // hinted SpMM task runs on a worker of the node that holds its stripe's
-  // pages — the paper's NUMA-aware scheduling + first-touch combination.
-  const sparse::Csb::DomainMap dmap =
-      csb.partition_block_rows(options.numa_domains);
-  auto domain_of = [&](index_t p) -> int {
-    return options.numa_domains > 1 ? dmap.owner(p) : -1;
-  };
-
-  // Futures threaded across iterations (see the dependence walkthrough in
-  // DESIGN.md): per piece, the last write of q/z/Q and outstanding readers
-  // whose completion the next writer must observe.
-  std::vector<Fut> q_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> Q_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> z_w(static_cast<std::size_t>(np), ready());
-  std::vector<std::vector<Fut>> q_r(static_cast<std::size_t>(np));
-  std::vector<std::vector<Fut>> z_r(static_cast<std::size_t>(np));
 
   std::vector<double> alphas;
   std::vector<double> betas;
@@ -347,208 +308,128 @@ LanczosResult run_flux(const sparse::Csb& csb, int k,
   const int every = ckpt::effective_every(options.ckpt_every);
   IterationTiming timing;
 
+  // Per-piece partial buffers for proj and beta2.
+  la::DenseMatrix proj_part(np, s.cols);
+  la::DenseMatrix dot_part(np, 1);
+
+  FluxSolve fx(csb, options);
+  const int dq = fx.data(np);
+  const int dz = fx.data(np);
+  const int dQ = fx.data(np);
+  const int dpp = fx.data(np);
+  const int ddp = fx.data(np);
+  const int dproj = fx.data(1);
+  const int dbeta = fx.data(1);
+
   la::DenseMatrix* Q = &s.Q;
   la::DenseMatrix* q = &s.q;
   la::DenseMatrix* z = &s.z;
   la::DenseMatrix* proj = &s.proj;
+  la::DenseMatrix* ppart = &proj_part;
+  la::DenseMatrix* dpart = &dot_part;
   double* beta = &s.beta;
-  const sparse::Csb* a = &csb;
-
-  // Per-piece partial buffers for proj and beta2.
-  la::DenseMatrix proj_part(np, s.cols);
-  la::DenseMatrix dot_part(np, 1);
 
   const support::Timer timer;
   for (int i = start; i < k; ++i) {
     poll_cancel(options);
     // The iteration span covers submission through the convergence-check
-    // gets — the driver's view of the iteration; kernel tasks may overlap
+    // sync — the driver's view of the iteration; kernel tasks may overlap
     // the next iteration's submissions on the worker tracks.
     obs::IterScope iter("lanczos.flux", i);
-    // z = A q: zero, then a dependency chain per output piece.
-    std::vector<Fut> z_chain(static_cast<std::size_t>(np));
-    for (index_t bi = 0; bi < np; ++bi) {
-      auto zero = traced(graph::KernelKind::kZero,
-                         static_cast<std::int32_t>(bi), [z, a, bi] {
-                           sparse::csb_block_zero(*a, bi, z->view());
-                         });
-      z_chain[static_cast<std::size_t>(bi)] =
-          flux::dataflow_hint(
-              sched, domain_of(bi), flux::unwrapping(zero),
-              z_w[static_cast<std::size_t>(bi)],
-              std::move(z_r[static_cast<std::size_t>(bi)]))
-              .share();
-      z_r[static_cast<std::size_t>(bi)].clear();
-    }
-    std::vector<std::vector<Fut>> q_r_now(static_cast<std::size_t>(np));
-    for (index_t bi = 0; bi < np; ++bi) {
-      for (index_t bj = 0; bj < np; ++bj) {
-        if (options.skip_empty_blocks && a->block_empty(bi, bj)) continue;
-        auto body = traced(graph::KernelKind::kSpMV,
-                           static_cast<std::int32_t>(bi), [q, z, a, bi, bj] {
-                             sparse::csb_block_spmm(*a, bi, bj, q->view(),
-                                                    z->view());
-                           });
-        Fut f = flux::dataflow_hint(sched, domain_of(bi),
-                                    flux::unwrapping(body),
-                                    z_chain[static_cast<std::size_t>(bi)],
-                                    q_w[static_cast<std::size_t>(bj)])
-                    .share();
-        z_chain[static_cast<std::size_t>(bi)] = f;
-        q_r_now[static_cast<std::size_t>(bj)].push_back(f);
-      }
-    }
+    fx.spmm(KernelKind::kSpMV, q, dq, z, dz); // z = A q
 
     // proj = Q^T z over the filled columns [0, i]: per-piece partials, then
     // a reduction task.
     const index_t active = i + 1;
-    std::vector<Fut> pp(static_cast<std::size_t>(np));
-    la::DenseMatrix* ppart = &proj_part;
     for (index_t p = 0; p < np; ++p) {
       const index_t r0 = p * b;
-      const index_t nr = rows_in(p);
-      auto body = traced(graph::KernelKind::kXTY,
-                         static_cast<std::int32_t>(p), [Q, z, ppart, r0, nr,
-                                                        p, active] {
-                           la::MatrixView out{ppart->data() + p * ppart->cols(),
-                                              active, 1, 1};
-                           la::gemm_tn(1.0, Q->leading_cols(r0, nr, active),
-                                       z->row_block(r0, nr), 0.0, out);
-                         });
-      pp[static_cast<std::size_t>(p)] =
-          flux::dataflow_hint(sched, domain_of(p), flux::unwrapping(body),
-                              z_chain[static_cast<std::size_t>(p)],
-                              Q_w[static_cast<std::size_t>(p)])
-              .share();
+      const index_t nr = fx.rows_in(p);
+      fx.task(KernelKind::kXTY, p,
+              [Q, z, ppart, r0, nr, p, active] {
+                la::MatrixView out{ppart->data() + p * ppart->cols(), active,
+                                   1, 1};
+                la::gemm_tn(1.0, Q->leading_cols(r0, nr, active),
+                            z->row_block(r0, nr), 0.0, out);
+              },
+              {read(dQ, p), read(dz, p), write(dpp, p)});
     }
-    la::DenseMatrix* projp = proj;
-    Fut proj_f =
-        flux::dataflow(sched,
-                       flux::unwrapping(traced(
-                           graph::KernelKind::kReduce, -1,
-                           [ppart, projp, np, active] {
-                             for (index_t c = 0; c < active; ++c) {
-                               projp->at(c, 0) = 0.0;
-                             }
-                             for (index_t p = 0; p < np; ++p) {
-                               for (index_t c = 0; c < active; ++c) {
-                                 projp->at(c, 0) +=
-                                     ppart->at(p, c);
-                               }
-                             }
-                           })),
-                       pp)
-            .share();
+    fx.task(KernelKind::kReduce, -1,
+            [ppart, proj, np, active] {
+              for (index_t c = 0; c < active; ++c) proj->at(c, 0) = 0.0;
+              for (index_t p = 0; p < np; ++p) {
+                for (index_t c = 0; c < active; ++c) {
+                  proj->at(c, 0) += ppart->at(p, c);
+                }
+              }
+            },
+            {read(dpp), write(dproj)});
 
     // z -= Q proj.
     for (index_t p = 0; p < np; ++p) {
       const index_t r0 = p * b;
-      const index_t nr = rows_in(p);
-      auto body = traced(graph::KernelKind::kXY, static_cast<std::int32_t>(p),
-                         [Q, z, projp, r0, nr, active] {
-                           la::gemm(-1.0, Q->leading_cols(r0, nr, active),
-                                    projp->row_block(0, active), 1.0,
-                                    z->row_block(r0, nr));
-                         });
-      Fut f = flux::dataflow_hint(sched, domain_of(p), flux::unwrapping(body),
-                                  pp[static_cast<std::size_t>(p)], proj_f)
-                  .share();
-      z_w[static_cast<std::size_t>(p)] = f;
+      const index_t nr = fx.rows_in(p);
+      fx.task(KernelKind::kXY, p,
+              [Q, z, proj, r0, nr, active] {
+                la::gemm(-1.0, Q->leading_cols(r0, nr, active),
+                         proj->row_block(0, active), 1.0,
+                         z->row_block(r0, nr));
+              },
+              {read(dQ, p), read(dproj), write(dz, p)});
     }
 
     // beta = || z ||.
-    std::vector<Fut> dp(static_cast<std::size_t>(np));
-    la::DenseMatrix* dpart = &dot_part;
     for (index_t p = 0; p < np; ++p) {
       const index_t r0 = p * b;
-      const index_t nr = rows_in(p);
-      auto body = traced(graph::KernelKind::kDotPartial,
-                         static_cast<std::int32_t>(p), [z, dpart, r0, nr, p] {
-                           dpart->at(p, 0) =
-                               la::dot(z->row_block(r0, nr),
-                                       z->row_block(r0, nr));
-                         });
-      dp[static_cast<std::size_t>(p)] =
-          flux::dataflow_hint(sched, domain_of(p), flux::unwrapping(body),
-                              z_w[static_cast<std::size_t>(p)])
-              .share();
-      z_r[static_cast<std::size_t>(p)].push_back(
-          dp[static_cast<std::size_t>(p)]);
+      const index_t nr = fx.rows_in(p);
+      fx.task(KernelKind::kDotPartial, p,
+              [z, dpart, r0, nr, p] {
+                dpart->at(p, 0) =
+                    la::dot(z->row_block(r0, nr), z->row_block(r0, nr));
+              },
+              {read(dz, p), write(ddp, p)});
     }
-    Fut beta_f =
-        flux::dataflow(sched,
-                       flux::unwrapping(traced(graph::KernelKind::kNorm, -1,
-                                               [dpart, beta, np] {
-                                                 double acc = 0.0;
-                                                 for (index_t p = 0; p < np;
-                                                      ++p) {
-                                                   acc += dpart->at(p, 0);
-                                                 }
-                                                 *beta = std::max(
-                                                     std::sqrt(acc),
-                                                     kBreakdownFloor);
-                                               })),
-                       dp)
-            .share();
+    fx.task(KernelKind::kNorm, -1,
+            [dpart, beta, np] {
+              double acc = 0.0;
+              for (index_t p = 0; p < np; ++p) acc += dpart->at(p, 0);
+              *beta = std::max(std::sqrt(acc), kBreakdownFloor);
+            },
+            {read(ddp), write(dbeta)});
 
     // q = z / beta and Q(:, i+1) = q.
     const index_t col = i + 1;
     for (index_t p = 0; p < np; ++p) {
       const index_t r0 = p * b;
-      const index_t nr = rows_in(p);
-      auto scale_body = traced(graph::KernelKind::kScale,
-                               static_cast<std::int32_t>(p),
-                               [z, q, beta, r0, nr] {
-                                 const double inv = 1.0 / *beta;
-                                 for (index_t r = 0; r < nr; ++r) {
-                                   q->at(r0 + r, 0) = z->at(r0 + r, 0) * inv;
-                                 }
-                               });
-      Fut scale_f =
-          flux::dataflow_hint(sched, domain_of(p),
-                              flux::unwrapping(scale_body), beta_f,
-                              z_w[static_cast<std::size_t>(p)],
-                              std::move(q_r[static_cast<std::size_t>(p)]),
-                              std::move(q_r_now[static_cast<std::size_t>(p)]))
-              .share();
-      q_w[static_cast<std::size_t>(p)] = scale_f;
-      z_r[static_cast<std::size_t>(p)].push_back(scale_f);
-
-      auto setcol_body = traced(graph::KernelKind::kAxpy,
-                                static_cast<std::int32_t>(p),
-                                [q, Q, r0, nr, col] {
-                                  for (index_t r = 0; r < nr; ++r) {
-                                    Q->at(r0 + r, col) = q->at(r0 + r, 0);
-                                  }
-                                });
-      Fut setcol_f =
-          flux::dataflow_hint(sched, domain_of(p),
-                              flux::unwrapping(setcol_body), scale_f,
-                              pp[static_cast<std::size_t>(p)],
-                              z_w[static_cast<std::size_t>(p)])
-              .share();
-      Q_w[static_cast<std::size_t>(p)] = setcol_f;
-      q_r[static_cast<std::size_t>(p)] = {setcol_f};
+      const index_t nr = fx.rows_in(p);
+      fx.task(KernelKind::kScale, p,
+              [z, q, beta, r0, nr] {
+                const double inv = 1.0 / *beta;
+                for (index_t r = 0; r < nr; ++r) {
+                  q->at(r0 + r, 0) = z->at(r0 + r, 0) * inv;
+                }
+              },
+              {read(dz, p), read(dbeta), write(dq, p)});
+      fx.task(KernelKind::kAxpy, p,
+              [q, Q, r0, nr, col] {
+                for (index_t r = 0; r < nr; ++r) {
+                  Q->at(r0 + r, col) = q->at(r0 + r, 0);
+                }
+              },
+              {read(dq, p), write(dQ, p)});
     }
 
     // Convergence check: the per-iteration synchronization point.
-    proj_f.get(&sched);
-    beta_f.get(&sched);
+    fx.sync({read(dproj), read(dbeta)});
     iter.metric("alpha", s.proj.at(i, 0));
     iter.metric("beta", s.beta);
     ++timing.iterations;
     if (!accept_iteration(s.proj.at(i, 0), s.beta, alphas, betas, status)) {
       break;
     }
-    // Checkpointing needs the tail tasks (scale/setcol) drained, not just
-    // the convergence gets — quiesce first, and only when a write is due.
-    if (!options.ckpt_path.empty() && (i + 1) % every == 0) {
-      sched.wait_for_quiescence();
-      maybe_checkpoint(options, s, alphas, betas, i + 1, every);
-    }
+    maybe_checkpoint(options, s, alphas, betas, i + 1, every,
+                     &fx.scheduler());
   }
-  quiesce.dismiss();
-  sched.wait_for_quiescence();
+  fx.finish();
   timing.total_seconds = timer.seconds();
   return finalize(std::move(alphas), std::move(betas), status, timing);
 }
@@ -593,21 +474,7 @@ LanczosResult run_rgt(const sparse::Csb& csb, int k,
 
   perf::TraceRecorder* trace = options.trace;
   auto traced = [trace](graph::KernelKind kind, std::int32_t bi, auto fn) {
-    return [trace, kind, bi, fn](rgt::TaskContext& ctx) {
-      const obs::prof::TaskMark mark("rgt", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn(ctx);
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = bi;
-      ev.worker = std::max(0, ctx.worker());
-      ev.start_ns = support::now_ns();
-      fn(ctx);
-      ev.end_ns = support::now_ns();
-      obs::publish_task("rgt", ev, trace);
-    };
+    return rgt_traced(trace, kind, bi, std::move(fn));
   };
 
   auto rows_in = [&](index_t p) { return std::min(b, m - p * b); };

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <memory>
 
 #include "bsp/kernels.hpp"
 #include "ds/executor.hpp"
 #include "ds/program.hpp"
-#include "flux/dataflow.hpp"
 #include "la/eig.hpp"
 #include "obs/obs.hpp"
 #include "rgt/runtime.hpp"
@@ -257,35 +255,33 @@ int apply_restore(const LobpcgOptions& options, State& s) {
 }
 
 /// Writes a checkpoint after `completed` iterations when the options ask
-/// for one. Only called where the block vectors are quiescent (after the
-/// iteration barrier, before the next submission round). A write failure is
-/// contained: counted, logged, and the solve carries on.
+/// for one (ckpt::save_if_due). Called after the iteration barrier, before
+/// the next submission round; a flux solve passes its scheduler as `drain`,
+/// whose tail copy kernels may still write the blocks until it quiesces.
 void maybe_checkpoint(const LobpcgOptions& options, const State& s,
-                      int completed, int every) {
-  if (options.ckpt_path.empty() || completed % every != 0) return;
-  ckpt::Checkpoint c;
-  c.kind = ckpt::Kind::kLobpcg;
-  ckpt::LobpcgState& st = c.lobpcg;
-  st.seed = options.seed;
-  st.m = s.m;
-  st.n = s.n;
-  st.iterations = completed;
-  st.converged = s.sm.converged;
-  st.theta = s.sm.theta;
-  st.norms.resize(static_cast<std::size_t>(s.n));
-  for (index_t j = 0; j < s.n; ++j) {
-    st.norms[static_cast<std::size_t>(j)] = s.sm.norms.at(j, 0);
-  }
-  st.x.assign(s.X.flat().begin(), s.X.flat().end());
-  st.ax.assign(s.AX.flat().begin(), s.AX.flat().end());
-  st.p.assign(s.P.flat().begin(), s.P.flat().end());
-  st.ap.assign(s.AP.flat().begin(), s.AP.flat().end());
-  try {
-    ckpt::save(c, options.ckpt_path);
-  } catch (const std::exception& e) {
-    obs::counter("solver.ckpt_errors").add();
-    obs::instant(std::string("ckpt: ") + e.what(), "solver");
-  }
+                      int completed, int every,
+                      flux::Scheduler* drain = nullptr) {
+  ckpt::save_if_due(options.ckpt_path, completed, every, [&] {
+    if (drain != nullptr) drain->wait_for_quiescence();
+    ckpt::Checkpoint c;
+    c.kind = ckpt::Kind::kLobpcg;
+    ckpt::LobpcgState& st = c.lobpcg;
+    st.seed = options.seed;
+    st.m = s.m;
+    st.n = s.n;
+    st.iterations = completed;
+    st.converged = s.sm.converged;
+    st.theta = s.sm.theta;
+    st.norms.resize(static_cast<std::size_t>(s.n));
+    for (index_t j = 0; j < s.n; ++j) {
+      st.norms[static_cast<std::size_t>(j)] = s.sm.norms.at(j, 0);
+    }
+    st.x.assign(s.X.flat().begin(), s.X.flat().end());
+    st.ax.assign(s.AX.flat().begin(), s.AX.flat().end());
+    st.p.assign(s.P.flat().begin(), s.P.flat().end());
+    st.ap.assign(s.AP.flat().begin(), s.AP.flat().end());
+    return c;
+  });
 }
 
 LobpcgResult finalize(const State& s, IterationTiming timing) {
@@ -504,156 +500,44 @@ LobpcgResult run_ds(const sparse::Csb& csb, int max_iterations,
 }
 
 // --------------------------------------------------------------------------
-// flux (HPX-style) version.
-//
-// Dependence threading is expressed with the helper structs below: per
-// vector piece we keep the last-write future and the reader futures since
-// that write (the discipline an HPX programmer applies by hand in Listing
-// 2; centralizing it keeps the 30-kernel pipeline readable).
+// flux (HPX-style) version: the same kernel sequence as the other versions,
+// one task per vector piece; FluxSolve's STF layer infers the futures that
+// an HPX programmer threads by hand in Listing 2 from each task's declared
+// reads and writes.
 // --------------------------------------------------------------------------
-
-using Fut = flux::shared_future<void>;
-
-struct FluxVec {
-  DenseMatrix* data = nullptr;
-  std::vector<Fut> w;
-  std::vector<std::vector<Fut>> r;
-
-  FluxVec() = default;
-  FluxVec(DenseMatrix* d, index_t np)
-      : data(d), w(static_cast<std::size_t>(np), flux::make_ready_future()),
-        r(static_cast<std::size_t>(np)) {}
-
-  void read_deps(index_t p, std::vector<Fut>& deps) const {
-    deps.push_back(w[static_cast<std::size_t>(p)]);
-  }
-  void write_deps(index_t p, std::vector<Fut>& deps) const {
-    deps.push_back(w[static_cast<std::size_t>(p)]);
-    for (const Fut& f : r[static_cast<std::size_t>(p)]) deps.push_back(f);
-  }
-  void note_read(index_t p, const Fut& f) {
-    r[static_cast<std::size_t>(p)].push_back(f);
-  }
-  void note_write(index_t p, const Fut& f) {
-    w[static_cast<std::size_t>(p)] = f;
-    r[static_cast<std::size_t>(p)].clear();
-  }
-};
-
-struct FluxSmall {
-  DenseMatrix* data = nullptr;
-  Fut w = flux::make_ready_future();
-  std::vector<Fut> r;
-
-  void read_deps(std::vector<Fut>& deps) const { deps.push_back(w); }
-  void write_deps(std::vector<Fut>& deps) const {
-    deps.push_back(w);
-    for (const Fut& f : r) deps.push_back(f);
-  }
-  void note_read(const Fut& f) { r.push_back(f); }
-  void note_write(const Fut& f) {
-    w = f;
-    r.clear();
-  }
-};
 
 class FluxLobpcg {
 public:
-  FluxLobpcg(State* s, const sparse::Csb* a, const LobpcgOptions& options)
-      : s_(s), a_(a), opts_(options),
-        np_(a->block_rows()), b_(a->block_size()),
-        dmap_(a->partition_block_rows(options.numa_domains)),
-        sched_(&acquire_flux_pool(options, owned_sched_)) {}
+  /// A tracked block vector (one piece per block row) or small matrix.
+  struct Obj {
+    DenseMatrix* data;
+    int id;
+  };
 
-  flux::Scheduler& scheduler() { return *sched_; }
+  FluxLobpcg(const sparse::Csb& a, const LobpcgOptions& options)
+      : np_(a.block_rows()), b_(a.block_size()), fx_(a, options) {}
 
-  FluxVec& vec(DenseMatrix* d) {
-    vecs_.emplace_back(d, np_);
-    return vecs_.back();
-  }
-  FluxSmall& small(DenseMatrix* d) {
-    smalls_.push_back(FluxSmall{});
-    smalls_.back().data = d;
-    return smalls_.back();
-  }
+  FluxSolve& solve() { return fx_; }
 
-  // Hints reuse place_stripes' deterministic nnz-balanced stripe map, so a
-  // hinted task lands on the node whose memory holds its block row.
-  int domain_of(index_t p) const {
-    return opts_.numa_domains > 1 ? dmap_.owner(p) : -1;
-  }
-  index_t rows_in(index_t p) const {
-    return std::min(b_, s_->m - p * b_);
-  }
-
-  template <typename Fn>
-  auto traced(graph::KernelKind kind, std::int32_t id, Fn fn) {
-    return flux_traced(*sched_, opts_.trace, kind, id, std::move(fn));
-  }
-
-  template <typename Fn>
-  Fut launch(graph::KernelKind kind, std::int32_t id, int domain,
-             std::vector<Fut> deps, Fn fn) {
-    return flux::dataflow_hint(*sched_, domain,
-                               flux::unwrapping(traced(kind, id, fn)),
-                               std::move(deps))
-        .share();
-  }
+  Obj vec(DenseMatrix* d) { return {d, fx_.data(np_)}; }
+  Obj small(DenseMatrix* d) { return {d, fx_.data(1)}; }
 
   /// y = A * x (dependency-based chains per output piece).
-  void spmm(FluxVec& x, FluxVec& y) {
-    const sparse::Csb* a = a_;
-    for (index_t bi = 0; bi < np_; ++bi) {
-      std::vector<Fut> deps;
-      y.write_deps(bi, deps);
-      DenseMatrix* yd = y.data;
-      Fut f = launch(graph::KernelKind::kZero,
-                     static_cast<std::int32_t>(bi), domain_of(bi),
-                     std::move(deps),
-                     [a, yd, bi] { sparse::csb_block_zero(*a, bi, yd->view()); });
-      y.note_write(bi, f);
-    }
-    for (index_t bi = 0; bi < np_; ++bi) {
-      for (index_t bj = 0; bj < np_; ++bj) {
-        if (opts_.skip_empty_blocks && a_->block_empty(bi, bj)) continue;
-        std::vector<Fut> deps;
-        x.read_deps(bj, deps);
-        y.write_deps(bi, deps);
-        DenseMatrix* xd = x.data;
-        DenseMatrix* yd = y.data;
-        Fut f = launch(graph::KernelKind::kSpMM,
-                       static_cast<std::int32_t>(bi), domain_of(bi),
-                       std::move(deps), [a, xd, yd, bi, bj] {
-                         sparse::csb_block_spmm(*a, bi, bj, xd->view(),
-                                                yd->view());
-                       });
-        x.note_read(bj, f);
-        y.note_write(bi, f);
-      }
-    }
+  void spmm(Obj x, Obj y) {
+    fx_.spmm(graph::KernelKind::kSpMM, x.data, x.id, y.data, y.id);
   }
 
   /// y = alpha * x * z + beta * y.
-  void xy(FluxVec& x, FluxSmall& z, FluxVec& y, double alpha, double beta) {
+  void xy(Obj x, Obj z, Obj y, double alpha, double beta) {
     for (index_t p = 0; p < np_; ++p) {
-      std::vector<Fut> deps;
-      x.read_deps(p, deps);
-      z.read_deps(deps);
-      y.write_deps(p, deps);
-      DenseMatrix* xd = x.data;
-      DenseMatrix* zd = z.data;
-      DenseMatrix* yd = y.data;
       const index_t r0 = p * b_;
-      const index_t nr = rows_in(p);
-      Fut f = launch(graph::KernelKind::kXY, static_cast<std::int32_t>(p),
-                     domain_of(p), std::move(deps),
-                     [xd, zd, yd, r0, nr, alpha, beta] {
-                       la::gemm(alpha, xd->row_block(r0, nr), zd->view(),
-                                beta, yd->row_block(r0, nr));
-                     });
-      x.note_read(p, f);
-      z.note_read(f);
-      y.note_write(p, f);
+      const index_t nr = fx_.rows_in(p);
+      fx_.task(graph::KernelKind::kXY, p,
+               [xd = x.data, zd = z.data, yd = y.data, r0, nr, alpha, beta] {
+                 la::gemm(alpha, xd->row_block(r0, nr), zd->view(), beta,
+                          yd->row_block(r0, nr));
+               },
+               {flux::read(x.id, p), flux::read(z.id), flux::write(y.id, p)});
     }
   }
 
@@ -662,179 +546,136 @@ public:
   void begin_iteration() { xty_cursor_ = 0; }
 
   /// p_out = x^T y via partials + reduce. Each call site reuses the same
-  /// partial buffer across iterations; the buffer is dependence-tracked
-  /// like any other vector so the next iteration's partial writes wait for
-  /// this iteration's reduce to have read them.
-  void xty(FluxVec& x, FluxVec& y, FluxSmall& p_out) {
+  /// partial buffer across iterations; the buffer is tracked like any
+  /// other vector, so the next iteration's partial writes wait for this
+  /// iteration's reduce to have read them.
+  void xty(Obj x, Obj y, Obj p_out) {
     const index_t pr = x.data->cols();
     const index_t pc = y.data->cols();
     if (xty_cursor_ == partials_.size()) {
-      partial_storage_.push_back(
-          std::make_unique<DenseMatrix>(np_, pr * pc));
-      partials_.emplace_back(partial_storage_.back().get(), np_);
+      partials_.push_back(
+          {std::make_unique<DenseMatrix>(np_, pr * pc), fx_.data(np_)});
     }
-    FluxVec& part_vec = partials_[xty_cursor_++];
-    DenseMatrix* part = part_vec.data;
+    DenseMatrix* part = partials_[xty_cursor_].buf.get();
+    const int part_id = partials_[xty_cursor_].id;
+    ++xty_cursor_;
     STS_ASSERT(part->cols() == pr * pc);
     for (index_t p = 0; p < np_; ++p) {
-      std::vector<Fut> deps;
-      x.read_deps(p, deps);
-      if (&x != &y) y.read_deps(p, deps);
-      part_vec.write_deps(p, deps);
-      DenseMatrix* xd = x.data;
-      DenseMatrix* yd = y.data;
       const index_t r0 = p * b_;
-      const index_t nr = rows_in(p);
-      Fut f = launch(graph::KernelKind::kXTY, static_cast<std::int32_t>(p),
-                     domain_of(p), std::move(deps),
-                     [xd, yd, part, r0, nr, p, pr, pc] {
-                       la::MatrixView out{part->data() + p * pr * pc, pr, pc,
-                                          pc};
-                       la::gemm_tn(1.0, xd->row_block(r0, nr),
-                                   yd->row_block(r0, nr), 0.0, out);
-                     });
-      x.note_read(p, f);
-      if (&x != &y) y.note_read(p, f);
-      part_vec.note_write(p, f);
+      const index_t nr = fx_.rows_in(p);
+      fx_.task(graph::KernelKind::kXTY, p,
+               [xd = x.data, yd = y.data, part, r0, nr, p, pr, pc] {
+                 la::MatrixView out{part->data() + p * pr * pc, pr, pc, pc};
+                 la::gemm_tn(1.0, xd->row_block(r0, nr),
+                             yd->row_block(r0, nr), 0.0, out);
+               },
+               {flux::read(x.id, p), flux::read(y.id, p),
+                flux::write(part_id, p)});
     }
-    std::vector<Fut> deps;
-    p_out.write_deps(deps);
-    for (index_t p = 0; p < np_; ++p) part_vec.read_deps(p, deps);
     DenseMatrix* dst = p_out.data;
     const index_t np = np_;
-    Fut red = launch(graph::KernelKind::kReduce, -1, -1, std::move(deps),
-                     [part, dst, np, pr, pc] {
-                       for (index_t i = 0; i < pr; ++i) {
-                         for (index_t j = 0; j < pc; ++j) dst->at(i, j) = 0.0;
-                       }
-                       for (index_t p = 0; p < np; ++p) {
-                         la::ConstMatrixView v{part->data() + p * pr * pc, pr,
-                                               pc, pc};
-                         la::axpy(1.0, v, dst->view());
-                       }
-                     });
-    for (index_t p = 0; p < np_; ++p) part_vec.note_read(p, red);
-    p_out.note_write(red);
+    fx_.task(graph::KernelKind::kReduce, -1,
+             [part, dst, np, pr, pc] {
+               for (index_t i = 0; i < pr; ++i) {
+                 for (index_t j = 0; j < pc; ++j) dst->at(i, j) = 0.0;
+               }
+               for (index_t p = 0; p < np; ++p) {
+                 la::ConstMatrixView v{part->data() + p * pr * pc, pr, pc,
+                                       pc};
+                 la::axpy(1.0, v, dst->view());
+               }
+             },
+             {flux::read(part_id), flux::write(p_out.id)});
   }
 
-  void axpy(double alpha, FluxVec& x, FluxVec& y) {
+  void axpy(double alpha, Obj x, Obj y) {
     for (index_t p = 0; p < np_; ++p) {
-      std::vector<Fut> deps;
-      x.read_deps(p, deps);
-      y.write_deps(p, deps);
-      DenseMatrix* xd = x.data;
-      DenseMatrix* yd = y.data;
       const index_t r0 = p * b_;
-      const index_t nr = rows_in(p);
-      Fut f = launch(graph::KernelKind::kAxpy, static_cast<std::int32_t>(p),
-                     domain_of(p), std::move(deps), [xd, yd, r0, nr, alpha] {
-                       la::axpy(alpha, xd->row_block(r0, nr),
-                                yd->row_block(r0, nr));
-                     });
-      x.note_read(p, f);
-      y.note_write(p, f);
+      const index_t nr = fx_.rows_in(p);
+      fx_.task(graph::KernelKind::kAxpy, p,
+               [xd = x.data, yd = y.data, r0, nr, alpha] {
+                 la::axpy(alpha, xd->row_block(r0, nr),
+                          yd->row_block(r0, nr));
+               },
+               {flux::read(x.id, p), flux::write(y.id, p)});
     }
   }
 
-  void copy(FluxVec& x, FluxVec& y) {
+  void copy(Obj x, Obj y) {
     for (index_t p = 0; p < np_; ++p) {
-      std::vector<Fut> deps;
-      x.read_deps(p, deps);
-      y.write_deps(p, deps);
-      DenseMatrix* xd = x.data;
-      DenseMatrix* yd = y.data;
       const index_t r0 = p * b_;
-      const index_t nr = rows_in(p);
-      Fut f = launch(graph::KernelKind::kAxpy, static_cast<std::int32_t>(p),
-                     domain_of(p), std::move(deps), [xd, yd, r0, nr] {
-                       la::copy(xd->row_block(r0, nr), yd->row_block(r0, nr));
-                     });
-      x.note_read(p, f);
-      y.note_write(p, f);
+      const index_t nr = fx_.rows_in(p);
+      fx_.task(graph::KernelKind::kAxpy, p,
+               [xd = x.data, yd = y.data, r0, nr] {
+                 la::copy(xd->row_block(r0, nr), yd->row_block(r0, nr));
+               },
+               {flux::read(x.id, p), flux::write(y.id, p)});
     }
-  }
-
-  template <typename Fn>
-  Fut small_op(graph::KernelKind kind, std::vector<FluxSmall*> reads,
-               std::vector<FluxSmall*> writes, Fn fn) {
-    std::vector<Fut> deps;
-    for (FluxSmall* r : reads) r->read_deps(deps);
-    for (FluxSmall* w : writes) w->write_deps(deps);
-    Fut f = launch(kind, -1, -1, std::move(deps), fn);
-    for (FluxSmall* r : reads) r->note_read(f);
-    for (FluxSmall* w : writes) w->note_write(f);
-    return f;
   }
 
 private:
-  State* s_;
-  const sparse::Csb* a_;
-  LobpcgOptions opts_;
   index_t np_;
   index_t b_;
-  sparse::Csb::DomainMap dmap_; // stripe owners, shared with place_stripes
-  std::unique_ptr<flux::Scheduler> owned_sched_; // empty when pool is shared
-  flux::Scheduler* sched_;
-  // deques: vec()/small() hand out references that must stay valid as more
-  // structures are registered.
-  std::deque<FluxVec> vecs_;
-  std::deque<FluxSmall> smalls_;
-  std::vector<std::unique_ptr<DenseMatrix>> partial_storage_;
-  std::deque<FluxVec> partials_;
+  struct Partial {
+    std::unique_ptr<DenseMatrix> buf;
+    int id;
+  };
+  // Before fx_: a partial buffer must outlive the tasks that touch it.
+  std::vector<Partial> partials_;
   std::size_t xty_cursor_ = 0;
+  FluxSolve fx_;
 };
 
 LobpcgResult run_flux(const sparse::Csb& csb, int max_iterations,
                       const LobpcgOptions& options) {
+  using flux::read;
+  using flux::write;
   State s = make_state(csb, options);
   Smalls& sm = s.sm;
   Smalls* smp = &sm;
   const int start = apply_restore(options, s);
   const int every = ckpt::effective_every(options.ckpt_every);
-  FluxLobpcg fx(&s, &csb, options);
+  FluxLobpcg fx(csb, options);
 
-  FluxVec& X = fx.vec(&s.X);
-  FluxVec& AX = fx.vec(&s.AX);
-  FluxVec& W = fx.vec(&s.W);
-  FluxVec& AW = fx.vec(&s.AW);
-  FluxVec& P = fx.vec(&s.P);
-  FluxVec& AP = fx.vec(&s.AP);
-  FluxVec& R = fx.vec(&s.R);
-  FluxVec& Xn = fx.vec(&s.Xn);
-  FluxVec& AXn = fx.vec(&s.AXn);
-  FluxVec& Pn = fx.vec(&s.Pn);
-  FluxVec& APn = fx.vec(&s.APn);
-  FluxSmall& M = fx.small(&sm.M);
-  FluxSmall& RR = fx.small(&sm.RR);
-  FluxSmall& CXW = fx.small(&sm.CXW);
-  FluxSmall& GWW = fx.small(&sm.GWW);
-  FluxSmall& WSC = fx.small(&sm.WSC);
-  FluxSmall& ga01 = fx.small(&sm.ga01);
-  FluxSmall& ga02 = fx.small(&sm.ga02);
-  FluxSmall& ga11 = fx.small(&sm.ga11);
-  FluxSmall& ga12 = fx.small(&sm.ga12);
-  FluxSmall& ga22 = fx.small(&sm.ga22);
-  FluxSmall& gb00 = fx.small(&sm.gb00);
-  FluxSmall& gb01 = fx.small(&sm.gb01);
-  FluxSmall& gb02 = fx.small(&sm.gb02);
-  FluxSmall& gb11 = fx.small(&sm.gb11);
-  FluxSmall& gb12 = fx.small(&sm.gb12);
-  FluxSmall& gb22 = fx.small(&sm.gb22);
-  FluxSmall& CX = fx.small(&sm.CX);
-  FluxSmall& CW = fx.small(&sm.CW);
-  FluxSmall& CP = fx.small(&sm.CP);
-  FluxSmall& NRM = fx.small(&sm.norms);
-
-  // Unwind (cancellation, task fault) must not outrun in-flight tasks that
-  // reference the local State — quiesce first, especially on shared pools.
-  flux::QuiesceOnExit quiesce(fx.scheduler());
+  const auto X = fx.vec(&s.X);
+  const auto AX = fx.vec(&s.AX);
+  const auto W = fx.vec(&s.W);
+  const auto AW = fx.vec(&s.AW);
+  const auto P = fx.vec(&s.P);
+  const auto AP = fx.vec(&s.AP);
+  const auto R = fx.vec(&s.R);
+  const auto Xn = fx.vec(&s.Xn);
+  const auto AXn = fx.vec(&s.AXn);
+  const auto Pn = fx.vec(&s.Pn);
+  const auto APn = fx.vec(&s.APn);
+  const auto M = fx.small(&sm.M);
+  const auto RR = fx.small(&sm.RR);
+  const auto CXW = fx.small(&sm.CXW);
+  const auto GWW = fx.small(&sm.GWW);
+  const auto WSC = fx.small(&sm.WSC);
+  const auto ga01 = fx.small(&sm.ga01);
+  const auto ga02 = fx.small(&sm.ga02);
+  const auto ga11 = fx.small(&sm.ga11);
+  const auto ga12 = fx.small(&sm.ga12);
+  const auto ga22 = fx.small(&sm.ga22);
+  const auto gb00 = fx.small(&sm.gb00);
+  const auto gb01 = fx.small(&sm.gb01);
+  const auto gb02 = fx.small(&sm.gb02);
+  const auto gb11 = fx.small(&sm.gb11);
+  const auto gb12 = fx.small(&sm.gb12);
+  const auto gb22 = fx.small(&sm.gb22);
+  const auto CX = fx.small(&sm.CX);
+  const auto CW = fx.small(&sm.CW);
+  const auto CP = fx.small(&sm.CP);
+  const auto NRM = fx.small(&sm.norms);
+  FluxSolve& solve = fx.solve();
 
   const double tol = options.tolerance;
   IterationTiming timing;
   const support::Timer timer;
   for (int it = start; it < max_iterations; ++it) {
     poll_cancel(options);
-    // Driver-side span: submission through the convergence-check get; the
+    // Driver-side span: submission through the convergence-check sync; the
     // tail kernels of the iteration may still be in flight on the workers.
     obs::IterScope iter("lobpcg.flux", it);
     fx.begin_iteration();
@@ -842,13 +683,15 @@ LobpcgResult run_flux(const sparse::Csb& csb, int max_iterations,
     fx.copy(AX, R);
     fx.xy(X, M, R, -1.0, 1.0);
     fx.xty(R, R, RR);
-    Fut conv = fx.small_op(graph::KernelKind::kConvCheck, {&RR}, {&NRM},
-                           [smp, tol] { body_conv_check(smp, tol); });
+    solve.task(graph::KernelKind::kConvCheck, -1,
+               [smp, tol] { body_conv_check(smp, tol); },
+               {read(RR.id), write(NRM.id)});
     fx.xty(X, R, CXW);
     fx.xy(X, CXW, R, -1.0, 1.0);
     fx.xty(R, R, GWW);
-    fx.small_op(graph::KernelKind::kOrtho, {&GWW}, {&WSC},
-                [smp] { body_w_normalizer(smp); });
+    solve.task(graph::KernelKind::kOrtho, -1,
+               [smp] { body_w_normalizer(smp); },
+               {read(GWW.id), write(WSC.id)});
     fx.xy(R, WSC, W, 1.0, 0.0);
     fx.spmm(W, AW);
     fx.xty(X, AW, ga01);
@@ -862,10 +705,12 @@ LobpcgResult run_flux(const sparse::Csb& csb, int max_iterations,
     fx.xty(W, W, gb11);
     fx.xty(W, P, gb12);
     fx.xty(P, P, gb22);
-    fx.small_op(graph::KernelKind::kOrtho,
-                {&M, &ga01, &ga02, &ga11, &ga12, &ga22, &gb00, &gb01, &gb02,
-                 &gb11, &gb12, &gb22},
-                {&CX, &CW, &CP}, [smp] { body_rayleigh_ritz(smp); });
+    solve.task(graph::KernelKind::kOrtho, -1,
+               [smp] { body_rayleigh_ritz(smp); },
+               {read(M.id), read(ga01.id), read(ga02.id), read(ga11.id),
+                read(ga12.id), read(ga22.id), read(gb00.id), read(gb01.id),
+                read(gb02.id), read(gb11.id), read(gb12.id), read(gb22.id),
+                write(CX.id), write(CW.id), write(CP.id)});
     fx.xy(W, CW, Pn, 1.0, 0.0);
     fx.xy(P, CP, Pn, 1.0, 1.0);
     fx.xy(AW, CW, APn, 1.0, 0.0);
@@ -879,19 +724,13 @@ LobpcgResult run_flux(const sparse::Csb& csb, int max_iterations,
     fx.copy(Pn, P);
     fx.copy(APn, AP);
 
-    conv.get(&fx.scheduler()); // per-iteration convergence check
+    solve.sync({read(NRM.id)}); // per-iteration convergence check
     note_iteration_metrics(iter, sm, s.n);
     ++timing.iterations;
     if (sm.converged >= s.n || sm.rr_failed || sm.nonfinite) break;
-    // Checkpointing needs the tail copy kernels drained, not just the
-    // convergence get — quiesce first, and only when a write is due.
-    if (!options.ckpt_path.empty() && (it + 1) % every == 0) {
-      fx.scheduler().wait_for_quiescence();
-      maybe_checkpoint(options, s, it + 1, every);
-    }
+    maybe_checkpoint(options, s, it + 1, every, &solve.scheduler());
   }
-  quiesce.dismiss();
-  fx.scheduler().wait_for_quiescence();
+  solve.finish();
   timing.total_seconds = timer.seconds();
   return finalize(s, timing);
 }
@@ -935,22 +774,7 @@ public:
 
   template <typename Fn>
   rgt::TaskBody traced(graph::KernelKind kind, std::int32_t id, Fn fn) {
-    perf::TraceRecorder* trace = opts_.trace;
-    return [trace, kind, id, fn](rgt::TaskContext& ctx) {
-      const obs::prof::TaskMark mark("rgt", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn(ctx);
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = id;
-      ev.worker = std::max(0, ctx.worker());
-      ev.start_ns = support::now_ns();
-      fn(ctx);
-      ev.end_ns = support::now_ns();
-      obs::publish_task("rgt", ev, trace);
-    };
+    return rgt_traced(opts_.trace, kind, id, std::move(fn));
   }
 
   void spmm(Vec& x, Vec& y) {

@@ -287,9 +287,7 @@ solver::SolverOptions RunSpec::solver_options(la::index_t blk) const {
 
 solver::LobpcgOptions RunSpec::lobpcg_options(la::index_t blk) const {
   solver::LobpcgOptions o;
-  o.block_size = blk;
-  o.threads = resolved_threads();
-  o.numa_domains = support::topo::effective_domains(o.threads);
+  static_cast<solver::SolverOptions&>(o) = solver_options(blk);
   o.nev = nev;
   o.tolerance = tolerance;
   return o;

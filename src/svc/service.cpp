@@ -862,26 +862,26 @@ void Service::run_job(Job& job, unsigned si) {
       }
     }
 
+    solver::SolverOptions options = job.spec.solver_options(plan->block_size);
+    options.threads = threads;
+    options.numa_domains = std::min(options.numa_domains, threads);
+    options.cancel = &job.token;
+    options.ckpt_path = ckpt_path;
+    if (restored) options.restore = &*restored;
+    if (is_flux) {
+      options.flux_pool = pool.get();
+      // The slot pool's domain layout wins over whatever the spec's thread
+      // count would have derived (the flux solvers validate that the two
+      // agree).
+      options.numa_domains = pool->domain_count();
+      if (growable) {
+        options.resize_poll = [this, &job] { apply_grant(job); };
+      }
+    }
+
     wire::Json summary = wire::Json::object();
     solver::SolverStatus status = solver::SolverStatus::kOk;
     if (job.spec.solver == SolverKind::kLanczos) {
-      solver::SolverOptions options =
-          job.spec.solver_options(plan->block_size);
-      options.threads = threads;
-      options.numa_domains = std::min(options.numa_domains, threads);
-      options.cancel = &job.token;
-      options.ckpt_path = ckpt_path;
-      if (restored) options.restore = &*restored;
-      if (is_flux) {
-        options.flux_pool = pool.get();
-        // The slot pool's domain layout wins over whatever the spec's
-        // thread count would have derived (acquire_flux_pool validates the
-        // two agree).
-        options.numa_domains = pool->domain_count();
-        if (growable) {
-          options.resize_poll = [this, &job] { apply_grant(job); };
-        }
-      }
       const auto r = solver::lanczos(*plan->csr, *plan->csb,
                                      job.spec.iterations, job.spec.version,
                                      options);
@@ -895,20 +895,6 @@ void Service::run_job(Job& job, unsigned si) {
       }
       summary.set("ritz_extremes", std::move(ritz));
     } else if (job.spec.solver == SolverKind::kCg) {
-      solver::SolverOptions options =
-          job.spec.solver_options(plan->block_size);
-      options.threads = threads;
-      options.numa_domains = std::min(options.numa_domains, threads);
-      options.cancel = &job.token;
-      options.ckpt_path = ckpt_path;
-      if (restored) options.restore = &*restored;
-      if (is_flux) {
-        options.flux_pool = pool.get();
-        options.numa_domains = pool->domain_count();
-        if (growable) {
-          options.resize_poll = [this, &job] { apply_grant(job); };
-        }
-      }
       const auto r = solver::cg(*plan->csr, *plan->csb, job.spec.version,
                                 job.spec.cg_options(), options);
       status = r.status;
@@ -925,23 +911,12 @@ void Service::run_job(Job& job, unsigned si) {
                     static_cast<std::int64_t>(r.level_span));
       }
     } else {
-      solver::LobpcgOptions options =
+      solver::LobpcgOptions lobpcg_options =
           job.spec.lobpcg_options(plan->block_size);
-      options.threads = threads;
-      options.numa_domains = std::min(options.numa_domains, threads);
-      options.cancel = &job.token;
-      options.ckpt_path = ckpt_path;
-      if (restored) options.restore = &*restored;
-      if (is_flux) {
-        options.flux_pool = pool.get();
-        options.numa_domains = pool->domain_count();
-        if (growable) {
-          options.resize_poll = [this, &job] { apply_grant(job); };
-        }
-      }
+      static_cast<solver::SolverOptions&>(lobpcg_options) = options;
       const auto r = solver::lobpcg(*plan->csr, *plan->csb,
                                     job.spec.iterations, job.spec.version,
-                                    options);
+                                    lobpcg_options);
       status = r.status;
       summary.set("iterations", r.timing.iterations);
       summary.set("seconds", r.timing.total_seconds);

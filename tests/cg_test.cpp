@@ -420,6 +420,35 @@ TEST(Cg, ResidualHistoryIsMonotonicallyReportedAndFinal) {
   EXPECT_EQ(r.residual_norms.back(), r.relative_residual);
 }
 
+TEST(Cg, FluxResultsDoNotDependOnWorkerCount) {
+  // The flux tasks' inferred dependencies fix each block's inputs and
+  // summation order (and the IC(0) solve's DAG its own), so x and the
+  // residual history are bit-identical at any worker count.
+  const Problem p = spd_problem(16);
+  for (const Precond pre :
+       {Precond::kNone, Precond::kJacobi, Precond::kIc0}) {
+    CgOptions cg_options;
+    cg_options.precond = pre;
+    cg_options.tol = 1e-9;
+    cg_options.max_iterations = 400;
+    SolverOptions options = base_options(16);
+    options.first_touch = false;
+    CgResult ref;
+    for (unsigned t : {1u, 2u, 3u}) {
+      options.threads = t;
+      CgResult r = cg(p.csr, p.csb, Version::kFlux, cg_options, options);
+      ASSERT_TRUE(r.converged) << to_string(pre) << ", " << t;
+      if (t == 1) {
+        ref = std::move(r);
+        continue;
+      }
+      EXPECT_EQ(r.x, ref.x) << to_string(pre) << ", " << t;
+      EXPECT_EQ(r.residual_norms, ref.residual_norms)
+          << to_string(pre) << ", " << t;
+    }
+  }
+}
+
 TEST(Cg, CheckpointRoundTripResumesAndMatchesUninterrupted) {
   const Problem p = spd_problem();
   const std::string path = ::testing::TempDir() + "/cg_ckpt_test.stsckpt";

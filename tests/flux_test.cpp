@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "flux/dataflow.hpp"
+#include "flux/stf.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
@@ -648,6 +649,200 @@ TEST(Scheduler, RingOverflowFallsBackToInbox) {
   });
   s.wait_for_quiescence();
   EXPECT_EQ(count.load(), n);
+}
+
+/// A random sequential task flow over three objects of kPieces pieces:
+/// each task reads and writes random pieces (or whole objects, piece -1),
+/// and the host syncs on random pieces along the way. Every task folds
+/// what it reads into what it writes, so any inferred edge that is missing
+/// or points the wrong way changes the values; they must equal the
+/// program's sequential execution, mid-flight (at each sync) and at the end.
+TEST(Stf, RandomProgramMatchesSequentialExecution) {
+  constexpr int kObjects = 3;
+  constexpr int kPieces = 6;
+  constexpr std::int64_t kMod = 1000003;
+  support::Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 8; ++trial) {
+    struct Step {
+      std::vector<Access> accesses;
+      bool sync = false;
+    };
+    std::vector<Step> program;
+    for (int i = 0; i < 400; ++i) {
+      Step st;
+      st.sync = rng.below(16) == 0;
+      const int n = 1 + static_cast<int>(rng.below(4));
+      for (int k = 0; k < n; ++k) {
+        const int obj = static_cast<int>(rng.below(kObjects));
+        const std::int64_t piece =
+            rng.below(8) == 0 ? -1
+                              : static_cast<std::int64_t>(rng.below(kPieces));
+        st.accesses.push_back(rng.below(2) == 0 ? read(obj, piece)
+                                                : write(obj, piece));
+      }
+      program.push_back(std::move(st));
+    }
+
+    using Cells = std::vector<std::vector<std::int64_t>>;
+    // One task (or host step) of the program: reads, then writes.
+    auto run = [](Cells& cells, const std::vector<Access>& acc,
+                  std::int64_t id) {
+      std::int64_t v = id;
+      for (const Access& a : acc) {
+        auto& obj = cells[static_cast<std::size_t>(a.data)];
+        for (std::int64_t p = 0; p < kPieces; ++p) {
+          if (a.piece < 0 || a.piece == p) {
+            v = (v * 31 + obj[static_cast<std::size_t>(p)]) % kMod;
+          }
+        }
+      }
+      for (const Access& a : acc) {
+        if (!a.write) continue;
+        auto& obj = cells[static_cast<std::size_t>(a.data)];
+        for (std::int64_t p = 0; p < kPieces; ++p) {
+          if (a.piece < 0 || a.piece == p) {
+            auto& c = obj[static_cast<std::size_t>(p)];
+            c = (c * 7 + v + 1) % kMod;
+          }
+        }
+      }
+    };
+
+    const Cells zero(kObjects, std::vector<std::int64_t>(kPieces, 0));
+    Cells serial = zero;
+    Cells cells = zero;
+    Scheduler s(cfg(4));
+    Stf stf(s);
+    for (int o = 0; o < kObjects; ++o) ASSERT_EQ(stf.data(kPieces), o);
+    for (std::size_t i = 0; i < program.size(); ++i) {
+      const Step& st = program[i];
+      const auto id = static_cast<std::int64_t>(i);
+      run(serial, st.accesses, id);
+      if (st.sync) {
+        // The host makes the step's accesses itself, after the sync.
+        for (const Access& a : st.accesses) {
+          stf.sync({a});
+        }
+        run(cells, st.accesses, id);
+        for (const Access& a : st.accesses) {
+          const auto& got = cells[static_cast<std::size_t>(a.data)];
+          const auto& want = serial[static_cast<std::size_t>(a.data)];
+          for (std::int64_t p = 0; p < kPieces; ++p) {
+            if (a.piece < 0 || a.piece == p) {
+              ASSERT_EQ(got[static_cast<std::size_t>(p)],
+                        want[static_cast<std::size_t>(p)])
+                  << "trial " << trial << " step " << i;
+            }
+          }
+        }
+        continue;
+      }
+      Cells* c = &cells;
+      const std::vector<Access>& acc = st.accesses;
+      auto body = [&run, c, acc, id] { run(*c, acc, id); };
+      // insert() takes a braced list; spell out each length.
+      switch (acc.size()) {
+        case 1: stf.insert(-1, body, {acc[0]}); break;
+        case 2: stf.insert(-1, body, {acc[0], acc[1]}); break;
+        case 3: stf.insert(-1, body, {acc[0], acc[1], acc[2]}); break;
+        default: stf.insert(-1, body, {acc[0], acc[1], acc[2], acc[3]});
+      }
+    }
+    for (int o = 0; o < kObjects; ++o) stf.sync({write(o)});
+    EXPECT_EQ(cells, serial) << "trial " << trial;
+    s.wait_for_quiescence();
+  }
+}
+
+TEST(Stf, SyncWaitsForWriterAndReadersAndFreesThePiece) {
+  Scheduler s(cfg(2));
+  Stf stf(s);
+  const int x = stf.data(1);
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> readers_done{0};
+  const Stf::Fut w = stf.insert(-1, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    writer_done = true;
+  }, {write(x, 0)});
+  std::vector<Stf::Fut> rs;
+  for (int i = 0; i < 3; ++i) {
+    rs.push_back(stf.insert(-1, [&] {
+      EXPECT_TRUE(writer_done.load()); // each read waited on the writer
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      readers_done.fetch_add(1);
+    }, {read(x)}));
+  }
+  stf.sync({write(x, 0)});
+  EXPECT_TRUE(writer_done.load());
+  EXPECT_EQ(readers_done.load(), 3);
+  // The piece is free: the layer holds no future of the finished accesses,
+  // so later tasks on x wait on nothing. (Quiescence first: a worker drops
+  // its reference to a node only after completing it.)
+  s.wait_for_quiescence();
+  EXPECT_EQ(w.state().use_count(), 1);
+  for (const Stf::Fut& r : rs) EXPECT_EQ(r.state().use_count(), 1);
+  std::atomic<bool> ran{false};
+  stf.insert(-1, [&] { ran = true; }, {write(x)}).get(&s);
+  EXPECT_TRUE(ran.load());
+  s.wait_for_quiescence();
+}
+
+TEST(Stf, ThrowingTaskPoisonsInferredSuccessorsAndSurfacesOnce) {
+  Scheduler s(cfg(2));
+  Stf stf(s);
+  const int x = stf.data(2);
+  const int y = stf.data(1);
+  std::atomic<int> ran_a{0};
+  std::atomic<int> ran_b{0};
+  std::atomic<int> ran_after{0};
+  stf.insert(-1, [&] { ran_a.fetch_add(1); }, {write(x, 0)});
+  stf.insert(-1, [&]() -> void {
+    ran_b.fetch_add(1);
+    throw support::TaskError("xy[0]", "injected");
+  }, {read(x, 0), write(y)});
+  // Successors through a read-after-write (y) and a write-after-read (x).
+  stf.insert(-1, [&] { ran_after.fetch_add(1); }, {read(y), write(x, 1)});
+  stf.insert(-1, [&] { ran_after.fetch_add(1); }, {write(x, 0)});
+  try {
+    stf.sync({read(x)});
+    FAIL() << "expected TaskError";
+  } catch (const support::TaskError& e) {
+    EXPECT_EQ(e.task(), "xy[0]");
+  }
+  EXPECT_THROW(s.wait_for_quiescence(), support::TaskError);
+  s.wait_for_quiescence(); // consumed once: clean and reusable
+  EXPECT_EQ(ran_a.load(), 1);
+  EXPECT_EQ(ran_b.load(), 1);
+  EXPECT_EQ(ran_after.load(), 0);
+}
+
+TEST(Stf, InsertWithFourDependenciesIsOneAllocation) {
+  Scheduler s(cfg(2));
+  Stf stf(s);
+  std::atomic<bool> release{false};
+  int obj[4];
+  for (int& o : obj) {
+    o = stf.data(1);
+    stf.insert(-1, [&] {
+      while (!release.load()) std::this_thread::yield();
+    }, {write(o)});
+  }
+  std::atomic<bool> ran{false};
+  Stf::Fut f;
+  std::size_t allocations = 0;
+  {
+    const AllocationCount count;
+    f = stf.insert(-1, [&] { ran = true; },
+                   {write(obj[0]), write(obj[1]), write(obj[2]),
+                    write(obj[3])});
+    allocations = count.value();
+  }
+  EXPECT_EQ(allocations, 1u); // the dataflow node; its four links are inline
+  EXPECT_FALSE(f.is_ready());
+  release = true;
+  f.get(&s);
+  EXPECT_TRUE(ran.load());
+  s.wait_for_quiescence();
 }
 
 } // namespace

@@ -152,30 +152,51 @@ TEST(Solvers, TraceRecordingProducesEvents) {
   EXPECT_GT(trace.events().size(), 10u);
 }
 
-TEST(Solvers, RgtResultsDoNotDependOnWorkerCount) {
-  // rgt's dependence analysis fixes every task's inputs and each block's
-  // summation order, so whichever thread runs a task -- a pool worker or
-  // the launcher helping in wait_all() -- the results are bit-identical.
+// rgt's dependence analysis and flux's sequential task flow fix every
+// task's inputs and each block's summation order, so whichever thread runs
+// a task -- a pool worker, or the launcher helping in wait_all() or
+// future::get() -- the results are bit-identical at any worker count. No
+// parallel first-touch: the Lanczos case then enters no OpenMP region and
+// also runs under ThreadSanitizer (tools/ci.sh). LOBPCG's set-up SpMM is a
+// BSP kernel, so its case cannot.
+TEST(Solvers, LanczosTaskResultsDoNotDependOnWorkerCount) {
+  Problem p = fem_problem(16);
+  SolverOptions o = base_options(16);
+  o.first_touch = false;
+  for (Version v : {Version::kRgt, Version::kFlux}) {
+    std::vector<double> ritz;
+    for (unsigned t : {1u, 2u, 3u}) {
+      o.threads = t;
+      const auto r = lanczos(p.csr, p.csb, 30, v, o);
+      if (t == 1) {
+        ritz = r.ritz_values;
+        ASSERT_FALSE(ritz.empty());
+        continue;
+      }
+      EXPECT_EQ(r.ritz_values, ritz) << to_string(v) << ", " << t;
+    }
+  }
+}
+
+TEST(Solvers, LobpcgTaskResultsDoNotDependOnWorkerCount) {
   Problem p = fem_problem(16);
   LobpcgOptions o;
   static_cast<SolverOptions&>(o) = base_options(16);
+  o.first_touch = false;
   o.nev = 4;
   o.tolerance = 1e-300; // fixed iteration count
-  std::vector<double> ritz;
-  std::vector<double> eig;
-  for (unsigned t : {1u, 2u, 3u}) {
-    o.threads = t;
-    const auto lz = lanczos(p.csr, p.csb, 30, Version::kRgt, o);
-    const auto lo = lobpcg(p.csr, p.csb, 15, Version::kRgt, o);
-    if (t == 1) {
-      ritz = lz.ritz_values;
-      eig = lo.eigenvalues;
-      ASSERT_FALSE(ritz.empty());
-      ASSERT_EQ(eig.size(), 4u);
-      continue;
+  for (Version v : {Version::kRgt, Version::kFlux}) {
+    std::vector<double> eig;
+    for (unsigned t : {1u, 2u, 3u}) {
+      o.threads = t;
+      const auto r = lobpcg(p.csr, p.csb, 15, v, o);
+      if (t == 1) {
+        eig = r.eigenvalues;
+        ASSERT_EQ(eig.size(), 4u);
+        continue;
+      }
+      EXPECT_EQ(r.eigenvalues, eig) << to_string(v) << ", " << t;
     }
-    EXPECT_EQ(lz.ritz_values, ritz) << t << " workers";
-    EXPECT_EQ(lo.eigenvalues, eig) << t << " workers";
   }
 }
 

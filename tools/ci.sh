@@ -9,8 +9,9 @@
 #   numa         topology fixtures, pinned re-runs, steal-tier bench
 #   dispatch     scheduler/partition/quota tests + fifo-vs-fair bench
 #   asan         AddressSanitizer build + concurrency-heavy labels
-#   tsan         ThreadSanitizer pass over flux + rgt + obs + dispatcher
-#                structures + the svc server's start/stop path
+#   tsan         ThreadSanitizer pass over flux + rgt + the flux solver
+#                drivers + obs + dispatcher structures + the svc server's
+#                start/stop path
 #   bench        microbench exports (BENCH_kernels/obs/cg.json)
 #   format       git clang-format --diff over the changed files
 #   bench-check  compare BENCH_*.json medians against bench/baselines/
@@ -135,6 +136,16 @@ stage_tsan() {
   # and never enters an OpenMP region.
   cmake --build "$tsan_build" -j "$jobs" --target rgt_test
   "$tsan_build/tests/rgt_test"
+  # The task solver drivers end to end: Lanczos (flux on the STF layer,
+  # and rgt) and flux CG, whole solves at 1-3 workers. These cases set
+  # first_touch = false, which keeps the parallel first-touch fill
+  # (support/aligned.cpp) -- the one OpenMP region on their path -- out of
+  # the run. LOBPCG is not here: its set-up SpMM is a BSP (OpenMP) kernel.
+  cmake --build "$tsan_build" -j "$jobs" --target solvers_test cg_test
+  "$tsan_build/tests/solvers_test" \
+    --gtest_filter='Solvers.LanczosTaskResultsDoNotDependOnWorkerCount'
+  "$tsan_build/tests/cg_test" \
+    --gtest_filter='Cg.FluxResultsDoNotDependOnWorkerCount'
   cmake --build "$tsan_build" -j "$jobs" --target obs_test
   "$tsan_build/tests/obs_test" \
     --gtest_filter='Registry.*:Histogram.*:Prometheus.*:Profiler.*:JobTrace.*'
