@@ -100,17 +100,15 @@ Scheduler::Config Scheduler::Config::topology_aware(unsigned threads) {
 }
 
 Scheduler::Config Scheduler::Config::for_partition(
-    std::vector<int> cpus, const support::topo::Machine* machine,
-    unsigned max_threads) {
+    std::vector<int> cpus, const support::topo::Machine* machine) {
   Config c;
   c.machine = machine != nullptr ? machine : &support::topo::machine();
-  if (cpus.empty()) { // degenerate grant: the whole machine
+  if (cpus.empty()) { // empty partition: the whole machine
     for (const support::topo::Cpu& cpu : c.machine->cpus) {
       cpus.push_back(cpu.id);
     }
   }
   c.threads = std::max<unsigned>(1u, static_cast<unsigned>(cpus.size()));
-  c.max_threads = std::max(max_threads, c.threads);
   std::set<int> nodes;
   for (int id : cpus) {
     const support::topo::Cpu* cpu = c.machine->find_cpu(id);
@@ -139,16 +137,12 @@ Scheduler::Scheduler(Config config) : config_(std::move(config)) {
   config_.threads = std::max(1u, config_.threads);
   config_.numa_domains =
       std::clamp(config_.numa_domains, 1u, config_.threads);
-  max_threads_ = std::max(config_.threads, config_.max_threads);
   build_placement();
-  // Worker cells beyond the initial count stay null until expand()
-  // constructs them — headroom costs no rings or slot pools up front.
-  workers_.resize(max_threads_);
+  workers_.reserve(config_.threads);
   for (unsigned i = 0; i < config_.threads; ++i) {
-    workers_[i] = std::make_unique<Worker>();
+    workers_.push_back(std::make_unique<Worker>());
   }
-  threads_.reserve(max_threads_);
-  active_.store(config_.threads, std::memory_order_release);
+  threads_.reserve(config_.threads);
   for (unsigned i = 0; i < config_.threads; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
@@ -157,21 +151,16 @@ Scheduler::Scheduler(Config config) : config_(std::move(config)) {
 void Scheduler::build_placement() {
   const unsigned threads = config_.threads;
   const unsigned domains = config_.numa_domains;
-  worker_domain_.assign(max_threads_, 0);
-  worker_core_.assign(max_threads_, -1);
+  worker_domain_.assign(threads, 0);
+  worker_core_.assign(threads, -1);
   worker_cpu_.clear();
   domain_workers_.assign(domains, {});
-  for (std::vector<unsigned>& dw : domain_workers_) dw.reserve(max_threads_);
-  domain_size_ = std::make_unique<std::atomic<unsigned>[]>(domains);
-  for (unsigned d = 0; d < domains; ++d) {
-    domain_size_[d].store(0, std::memory_order_relaxed);
-  }
 
   if (!config_.cpus.empty() && config_.affinity != Affinity::kOff) {
     // Explicit partition: worker w takes cpus[w % |cpus|] (oversubscription
     // wraps, matching the order-table path below) and the domain map falls
     // out of those CPUs' nodes. assign_cpu_slot records membership too.
-    worker_cpu_.assign(max_threads_, -1);
+    worker_cpu_.assign(threads, -1);
     for (unsigned w = 0; w < threads; ++w) {
       assign_cpu_slot(w, config_.cpus[w % config_.cpus.size()]);
     }
@@ -212,7 +201,7 @@ void Scheduler::build_placement() {
       }
     }
     if (!order.empty()) {
-      worker_cpu_.assign(max_threads_, -1);
+      worker_cpu_.assign(threads, -1);
       for (unsigned w = 0; w < threads; ++w) {
         const support::topo::Cpu* cpu = order[w % order.size()];
         worker_cpu_[w] = cpu->id;
@@ -238,8 +227,6 @@ void Scheduler::build_placement() {
   for (unsigned w = 0; w < threads; ++w) {
     const unsigned d = worker_domain_[w];
     domain_workers_[d].push_back(w);
-    domain_size_[d].store(static_cast<unsigned>(domain_workers_[d].size()),
-                          std::memory_order_relaxed);
   }
 }
 
@@ -257,40 +244,7 @@ void Scheduler::assign_cpu_slot(unsigned w, int cpu_id) {
   }
   const unsigned domain = node_index % config_.numa_domains;
   worker_domain_[w] = domain;
-  domain_workers_[domain].push_back(w); // reserved: data pointer is stable
-  domain_size_[domain].store(
-      static_cast<unsigned>(domain_workers_[domain].size()),
-      std::memory_order_release);
-}
-
-unsigned Scheduler::expand(const std::vector<int>& cpus) {
-  STS_EXPECTS(tls_scheduler != this); // a worker growing itself would race
-  const unsigned old = active_.load(std::memory_order_relaxed);
-  const unsigned add =
-      std::min(static_cast<unsigned>(cpus.size()), max_threads_ - old);
-  if (add == 0) return 0;
-  for (unsigned i = 0; i < add; ++i) {
-    const unsigned w = old + i;
-    workers_[w] = std::make_unique<Worker>();
-    if (!worker_cpu_.empty()) {
-      assign_cpu_slot(w, cpus[i]);
-    } else {
-      const unsigned domain = w % config_.numa_domains;
-      worker_domain_[w] = domain;
-      domain_workers_[domain].push_back(w);
-      domain_size_[domain].store(
-          static_cast<unsigned>(domain_workers_[domain].size()),
-          std::memory_order_release);
-    }
-  }
-  // Publish: every row written above happens-before this release store, and
-  // enqueue/steal acquire-load the count before touching a row.
-  active_.store(old + add, std::memory_order_release);
-  for (unsigned i = 0; i < add; ++i) {
-    threads_.emplace_back([this, w = old + i] { worker_loop(w); });
-  }
-  obs::counter("flux.expands").add(1);
-  return add;
+  domain_workers_[domain].push_back(w);
 }
 
 void Scheduler::pin_self(unsigned index) const {
@@ -365,22 +319,19 @@ void Scheduler::enqueue(QueuedTask task, int domain_hint) {
     // External thread, or a worker targeting a specific domain: round-robin
     // to a per-worker inbox (only ring owners may push their ring).
     const unsigned n = next_worker_.fetch_add(1, std::memory_order_relaxed);
-    const unsigned active = active_.load(std::memory_order_acquire);
     unsigned target;
     if (domain_hint >= 0) {
       // Round-robin within the requested domain's worker list (contiguous
       // ranges unpinned, the pinned CPUs' nodes otherwise — see
       // build_placement). A domain can end up with no workers under exotic
       // pinned layouts; fall back to anyone rather than dropping the hint's
-      // task on the floor. The membership count has its own acquire so an
-      // expand()-published worker is fully visible before we target it.
+      // task on the floor.
       const unsigned domain =
           static_cast<unsigned>(domain_hint) % config_.numa_domains;
-      const unsigned dsz = domain_size_[domain].load(std::memory_order_acquire);
       const std::vector<unsigned>& ws = domain_workers_[domain];
-      target = dsz == 0 ? n % active : ws[n % dsz];
+      target = ws.empty() ? n % config_.threads : ws[n % ws.size()];
     } else {
-      target = n % active;
+      target = n % config_.threads;
     }
     Worker& w = *workers_[target];
     {
@@ -452,7 +403,7 @@ bool Scheduler::steal(unsigned thief, QueuedTask& out) {
   // paper's NUMA-aware HPX scheduling approximates. Flat rotating scan
   // otherwise. Each pass rotates from the thief to spread contention;
   // successful steals are classified and counted per tier either way.
-  const unsigned n = active_.load(std::memory_order_acquire);
+  const unsigned n = config_.threads;
   auto try_victim = [&](unsigned v) {
     if (v == thief) return false;
     if (!take_from(*workers_[v], out)) return false;
@@ -644,10 +595,9 @@ void Scheduler::drain() noexcept {
 Scheduler::QueueDiagnostics Scheduler::diagnostics() const {
   QueueDiagnostics d;
   d.outstanding = outstanding_.load(std::memory_order_acquire);
-  const unsigned active = active_.load(std::memory_order_acquire);
-  d.queue_depths.reserve(active);
-  for (unsigned i = 0; i < active; ++i) {
-    Worker& w = *workers_[i];
+  d.queue_depths.reserve(workers_.size());
+  for (const std::unique_ptr<Worker>& wp : workers_) {
+    Worker& w = *wp;
     std::size_t inbox_depth = 0;
     {
       const std::lock_guard<std::mutex> lock(w.inbox_mutex);
@@ -678,8 +628,7 @@ bool Scheduler::try_run_one() {
           steal(static_cast<unsigned>(tls_worker_index), task);
   } else {
     // External helper: steal from each worker in turn, oldest-first.
-    const unsigned active = active_.load(std::memory_order_acquire);
-    for (unsigned v = 0; v < active && !got; ++v) {
+    for (unsigned v = 0; v < config_.threads && !got; ++v) {
       got = take_from(*workers_[v], task);
     }
   }
@@ -702,9 +651,8 @@ int Scheduler::current_worker() const noexcept {
 Scheduler::Stats Scheduler::stats() const {
   Stats s;
   s.executed = helper_executed_.load(std::memory_order_relaxed);
-  const unsigned active = active_.load(std::memory_order_acquire);
-  for (unsigned i = 0; i < active; ++i) {
-    const Worker& w = *workers_[i];
+  for (const std::unique_ptr<Worker>& wp : workers_) {
+    const Worker& w = *wp;
     s.executed += w.executed;
     s.steals += w.steals;
     s.steals_sibling += w.steals_by_tier[0];

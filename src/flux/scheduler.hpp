@@ -69,12 +69,6 @@ public:
     /// slice of the machine instead of assuming workers 0..N-1 own it. Set
     /// by the stsd dispatcher, one partition per job slot (DESIGN.md §15).
     std::vector<int> cpus{};
-    /// Worker-slot headroom for elastic growth: placement tables and the
-    /// worker array are pre-sized for this many workers so expand() can add
-    /// workers without reallocating anything a running worker reads.
-    /// 0 means `threads` (no growth possible). Slots beyond `threads` cost
-    /// nothing until expand() constructs them.
-    unsigned max_threads = 0;
 
     /// STS_AFFINITY=compact|scatter|off. Unset defaults to kCompact when
     /// the detected machine has more than one NUMA node (the paper's EPYC
@@ -91,10 +85,9 @@ public:
     /// numa_domains = distinct NUMA nodes covered by the partition (so a
     /// single-node slice steals only locally and flux.steals_remote stays
     /// 0), pinning on by default (STS_AFFINITY=off disables; STS_NUMA=off
-    /// flattens domains). `max_threads` reserves elastic-growth headroom.
+    /// flattens domains).
     [[nodiscard]] static Config for_partition(
-        std::vector<int> cpus, const support::topo::Machine* machine,
-        unsigned max_threads = 0);
+        std::vector<int> cpus, const support::topo::Machine* machine);
   };
 
   struct Stats {
@@ -142,20 +135,6 @@ public:
   /// Used by future::get() to help instead of blocking a worker.
   bool try_run_one();
 
-  /// Elastic growth: adds up to cpus.size() workers (bounded by the
-  /// Config::max_threads headroom), each pinned to one of `cpus` under the
-  /// same rules as construction, and returns how many were added (0 when no
-  /// headroom is left). The new workers join the existing domain structure
-  /// (numa_domains never changes; their CPUs' nodes fold onto it).
-  ///
-  /// Caller contract (the dispatcher's grant protocol, DESIGN.md §15): must
-  /// be called from a non-worker thread while the pool is quiescent — the
-  /// solvers' iteration boundary — and calls must be externally serialized.
-  /// Publication is race-free regardless: placement rows and worker cells
-  /// are written before the active count's release store, and every reader
-  /// indexes only below its acquire load of that count.
-  unsigned expand(const std::vector<int>& cpus);
-
   /// Latches `error` as the first task failure (later reports are dropped)
   /// and cancels remaining work: queued task bodies are skipped, only their
   /// accounting runs, so the scheduler drains instead of hanging. Called by
@@ -180,11 +159,7 @@ public:
   [[nodiscard]] QueueDiagnostics diagnostics() const;
 
   [[nodiscard]] unsigned thread_count() const noexcept {
-    return active_.load(std::memory_order_acquire);
-  }
-  /// Upper bound thread_count() can reach via expand().
-  [[nodiscard]] unsigned max_thread_count() const noexcept {
-    return max_threads_;
+    return config_.threads;
   }
   [[nodiscard]] unsigned domain_count() const noexcept {
     return config_.numa_domains;
@@ -240,8 +215,7 @@ private:
   [[nodiscard]] unsigned steal_tier(unsigned thief, unsigned victim) const;
   void build_placement();
   /// Fills placement row `w` (cpu/core/domain + domain membership) from
-  /// `cpu_id` looked up in the configured machine. Used by both the
-  /// explicit-partition construction path and expand().
+  /// `cpu_id` looked up in the configured machine (explicit partitions).
   void assign_cpu_slot(unsigned w, int cpu_id);
   void pin_self(unsigned index) const;
   void worker_loop(unsigned index);
@@ -256,25 +230,15 @@ private:
   void drain() noexcept;
 
   Config config_;
-  unsigned max_threads_ = 0; // worker-slot capacity (>= initial threads)
-  /// Published worker count. Rows [0, active_) of every table below are
-  /// immutable once published; expand() writes new rows first, then does a
-  /// release store here. All consumers acquire-load it before indexing.
-  std::atomic<unsigned> active_{0};
-  std::vector<std::unique_ptr<Worker>> workers_; // sized max_threads_; lazy
+  // Workers and placement tables are built once in the constructor, before
+  // any worker thread starts, and are read-only from then on.
+  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  // Placement tables, sized max_threads_ at construction. Rows below the
-  // active count are read-only; expand() fills rows above it.
   std::vector<unsigned> worker_domain_;           // worker -> domain
   std::vector<int> worker_cpu_;                   // worker -> cpu; empty = unpinned
   std::vector<int> worker_core_;                  // worker -> core key; -1 unknown
-  /// domain -> member workers. Each inner vector is reserved to
-  /// max_threads_ up front (its data pointer never moves); readers see
-  /// [0, domain_size_[d]) where the size is its own release/acquire atomic,
-  /// so expand()'s push_back never races an enqueue()'s scan.
-  std::vector<std::vector<unsigned>> domain_workers_;
-  std::unique_ptr<std::atomic<unsigned>[]> domain_size_;
+  std::vector<std::vector<unsigned>> domain_workers_; // domain -> members
 
   std::atomic<std::uint64_t> outstanding_{0};
   /// Tasks run through try_run_one() by threads outside the pool (workers

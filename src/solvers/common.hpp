@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -102,22 +101,13 @@ struct SolverOptions {
   /// iteration 0 — bit-identical to an uninterrupted run under the same
   /// options whenever the kernel schedule is deterministic. Not owned.
   const ckpt::Checkpoint* restore = nullptr;
-  /// Elastic-resize hook (DESIGN.md §15): invoked at every iteration
-  /// boundary, right after the cancel poll — the same point where all
-  /// runtimes are quiescent — so stsd's dispatcher can grow a running
-  /// job's flux pool (Scheduler::expand) between iterations. May throw;
-  /// the exception propagates exactly like a cancellation would. Null =
-  /// fixed-size run (the historical behaviour).
-  std::function<void()> resize_poll;
 };
 
 /// Iteration-boundary cancellation poll: throws support::Cancelled when
-/// options.cancel has been requested, then gives the dispatcher its
-/// resize window (see SolverOptions::resize_poll). Every version of every
-/// solver calls this at the top of its iteration loop.
+/// options.cancel has been requested. Every version of every solver calls
+/// this at the top of its iteration loop.
 inline void poll_cancel(const SolverOptions& options) {
   if (options.cancel != nullptr) options.cancel->throw_if_requested();
-  if (options.resize_poll) options.resize_poll();
 }
 
 /// Wraps a flux task body so every run publishes one perf::TaskEvent to the

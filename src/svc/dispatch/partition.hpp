@@ -3,8 +3,7 @@
 //
 // A Partition is a contiguous, NUMA-domain-aligned set of CPUs carved from
 // a topo::Machine by support::topo::partition_cpus. Slot i always owns
-// carve(...)[i]; elastic grants lend one slot's CPUs to a job running on
-// another slot without ever splitting a slice further, so two concurrently
+// carve(...)[i] and runs one job at a time on it, so two concurrently
 // running jobs never share a NUMA domain unless slots > nodes forced the
 // carve to subdivide a node.
 #pragma once

@@ -61,11 +61,11 @@ struct RunSpec {
   /// Dispatcher scheduling + quotas (DESIGN.md §15). The strict priority
   /// class ("interactive" beats "batch"), the weighted-fair-queuing weight
   /// inside the class, and the per-job resource quotas the dispatcher
-  /// enforces at admission/grant time. All journaled, so a recovered job
+  /// enforces at admission and pool-build time. All journaled, so a recovered job
   /// re-enters the queue with its original scheduling identity.
   std::string priority = "batch"; // "interactive" | "batch"
   unsigned weight = 1;            // DRR quantum; >= 1
-  unsigned max_workers = 0;       // cap on granted workers; 0 = partition size
+  unsigned max_workers = 0;       // cap on pool workers; 0 = partition size
   std::uint64_t max_mem_bytes = 0; // cap on plan footprint; 0 = unlimited
   std::int64_t deadline_ms = 0;   // submit->terminal deadline; 0 = none
 

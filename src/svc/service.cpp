@@ -64,9 +64,8 @@ flux::Affinity partition_affinity() {
   return flux::Affinity::kCompact;
 }
 
-/// Ascending-cpu-id cpulist ("0-3,8") of a possibly unsorted grant set.
+/// cpulist ("0-3,8") of a job's CPUs, a prefix of its slot's partition.
 std::string cpulist_of(std::vector<int> cpus) {
-  std::sort(cpus.begin(), cpus.end());
   dispatch::Partition tmp;
   tmp.cpus = std::move(cpus);
   return tmp.cpulist();
@@ -130,9 +129,6 @@ wire::Json to_json(const ServiceStats& s) {
   d.set("depth_interactive",
         static_cast<std::uint64_t>(s.dispatch.depth_interactive));
   d.set("depth_batch", static_cast<std::uint64_t>(s.dispatch.depth_batch));
-  d.set("grants_offered", s.dispatch.grants_offered);
-  d.set("grants_applied", s.dispatch.grants_applied);
-  d.set("grants_revoked", s.dispatch.grants_revoked);
   j.set("dispatch", std::move(d));
   return j;
 }
@@ -167,10 +163,8 @@ Service::Service(Config config)
   const unsigned want = std::max(1u, config_.slots);
   // Carve once; the table is immutable for the service's lifetime. carve()
   // clamps to the online CPU count — slots beyond that share partitions
-  // round-robin (oversubscription), which also disables elastic lending
-  // (a lender's CPUs would already be busy).
+  // round-robin (oversubscription).
   partitions_ = dispatch::carve(m, want);
-  exclusive_partitions_ = partitions_.size() == want;
   obs::gauge("topology.nodes")
       .observe(static_cast<std::int64_t>(m.node_count()));
   obs::gauge("topology.cpus")
@@ -418,9 +412,9 @@ SubmitOutcome Service::submit(RunSpec spec) {
   ++submitted_;
   obs::counter("svc.jobs_submitted").add();
   publish_queue_depth_locked();
-  // notify_all, not notify_one: a woken slot whose partition is lent out
-  // cannot pop, and with notify_one it would be the only thread awake.
-  queue_cv_.notify_all();
+  // One job, one slot: only idle slots wait on queue_cv_, and any of them
+  // can pop it.
+  queue_cv_.notify_one();
   out.accepted = true;
   out.id = raw->id;
   return out;
@@ -537,133 +531,12 @@ void Service::finish_job(Job& job, JobState state, const std::string& error) {
   job_done_cv_.notify_all();
 }
 
-void Service::offer_grant_locked(unsigned si) {
-  if (!exclusive_partitions_) return; // lender CPUs would already be busy
-  Slot& lender = *slots_[si];
-  if (lender.lent_to != nullptr) return;
-  for (const auto& s : slots_) {
-    Job* job = s->running;
-    if (job == nullptr || !job->growable || job->active_pool == nullptr) {
-      continue;
-    }
-    if (job->pending_from_slot >= 0) continue; // one offer in flight per job
-    if (job->active_pool->thread_count() >=
-        job->active_pool->max_thread_count()) {
-      continue; // no elastic headroom left
-    }
-    job->pending_cpus = lender.part.cpus;
-    job->pending_from_slot = static_cast<int>(si);
-    lender.lent_to = job;
-    lender.lent_applied = false;
-    ++grants_offered_;
-    obs::counter("dispatch.grants_offered").add();
-    return;
-  }
-}
-
-void Service::apply_grant(Job& job) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (job.pending_from_slot < 0) return; // no offer (or already revoked)
-  const unsigned lender = static_cast<unsigned>(job.pending_from_slot);
-  std::vector<int> cpus = std::move(job.pending_cpus);
-  job.pending_cpus.clear();
-  job.pending_from_slot = -1;
-  const auto restore = [&] {
-    Slot& slot = *slots_[lender];
-    if (slot.lent_to == &job) {
-      slot.lent_to = nullptr;
-      slot.lent_applied = false;
-    }
-    ++grants_revoked_;
-    obs::counter("dispatch.grants_revoked").add();
-    queue_cv_.notify_all();
-  };
-  try {
-    // Chaos hook: an armed throw here kills the job mid-resize. The lender
-    // is restored before the throw propagates (through the solver's
-    // iteration boundary, like a cancellation), so the partition is free
-    // for the next queued job — what resilience_test asserts.
-    support::fault::check("svc:grant");
-  } catch (...) {
-    restore();
-    throw;
-  }
-  if (job.active_pool == nullptr) {
-    restore();
-    return;
-  }
-  const unsigned added = job.active_pool->expand(cpus);
-  if (added == 0) { // quota/headroom raced to zero
-    restore();
-    return;
-  }
-  Slot& slot = *slots_[lender];
-  slot.lent_applied = true;
-  job.borrowed_slots.push_back(lender);
-  job.granted_cpus.insert(
-      job.granted_cpus.end(), cpus.begin(),
-      cpus.begin() + std::min<std::size_t>(added, cpus.size()));
-  ++grants_applied_;
-  obs::counter("dispatch.grants_applied").add();
-  obs::instant("dispatch: job " + std::to_string(job.id) + " grew by " +
-                   std::to_string(added) + " worker(s) from slot " +
-                   std::to_string(lender),
-               "svc");
-  // The borrower can take another lender now that this offer is consumed;
-  // wake parked idle slots so one of them re-offers.
-  queue_cv_.notify_all();
-}
-
-void Service::reclaim_grants_locked(Job& job) {
-  if (job.pending_from_slot >= 0) {
-    Slot& slot = *slots_[static_cast<unsigned>(job.pending_from_slot)];
-    if (slot.lent_to == &job) {
-      slot.lent_to = nullptr;
-      slot.lent_applied = false;
-    }
-    job.pending_from_slot = -1;
-    job.pending_cpus.clear();
-    ++grants_revoked_;
-    obs::counter("dispatch.grants_revoked").add();
-  }
-  for (const unsigned si : job.borrowed_slots) {
-    Slot& slot = *slots_[si];
-    if (slot.lent_to == &job) {
-      slot.lent_to = nullptr;
-      slot.lent_applied = false;
-    }
-  }
-  job.borrowed_slots.clear();
-  job.granted_cpus.clear();
-  job.growable = false;
-  queue_cv_.notify_all(); // freed lenders can pick up queued work
-}
-
 void Service::slot_loop(unsigned si) {
   Slot& slot = *slots_[si];
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    while (true) {
-      if (stop_slots_ && queue_.empty()) return;
-      // A slot whose partition is inside a borrower's pool cannot run a
-      // job until the borrower finishes and reclaim_grants_locked frees it.
-      if (!queue_.empty() && !slot.lent_applied) break;
-      if (queue_.empty() && !stop_slots_ && !draining_ &&
-          slot.lent_to == nullptr) {
-        offer_grant_locked(si);
-      }
-      queue_cv_.wait(lock);
-    }
-    if (slot.lent_to != nullptr && !slot.lent_applied) {
-      // Work arrived before the borrower's next iteration boundary:
-      // withdraw the unapplied offer and run the job ourselves.
-      Job& borrower = *slot.lent_to;
-      borrower.pending_cpus.clear();
-      borrower.pending_from_slot = -1;
-      slot.lent_to = nullptr;
-      ++grants_revoked_;
-      obs::counter("dispatch.grants_revoked").add();
-    }
+    queue_cv_.wait(lock, [this] { return stop_slots_ || !queue_.empty(); });
+    if (queue_.empty()) return; // stopping, and the queue has drained
     dispatch::Item item;
     if (!queue_.pop(&item)) continue;
     publish_queue_depth_locked();
@@ -752,34 +625,14 @@ void Service::run_job(Job& job, unsigned si) {
     if (threads < cpus.size()) cpus.resize(threads);
 
     const bool is_flux = job.spec.version == solver::Version::kFlux;
-    bool growable = false;
     if (is_flux) {
-      // Elastic growth wants: no explicit thread pin (the job asked for
-      // "the partition", so more partition is welcome), exclusive
-      // partitions (a lender's CPUs are genuinely idle), and a machine
-      // with more than one slot to lend.
-      unsigned cap = threads;
-      if (job.spec.threads == 0 && config_.threads == 0 &&
-          exclusive_partitions_ && slots_.size() > 1) {
-        unsigned limit = machine().cpu_count();
-        if (job.spec.max_workers != 0) {
-          limit = std::min(limit, job.spec.max_workers);
-        }
-        cap = std::max(threads, limit);
-      }
-      growable = cap > threads;
       flux::Scheduler::Config pcfg =
-          flux::Scheduler::Config::for_partition(cpus, &machine(), cap);
+          flux::Scheduler::Config::for_partition(cpus, &machine());
       pcfg.threads = threads; // explicit --threads may oversubscribe cpus
       pool = std::make_unique<flux::Scheduler>(pcfg);
       const std::lock_guard<std::mutex> lock(mutex_);
       job.active_pool = pool.get();
-      job.growable = growable;
-      job.granted_cpus = cpus;
-      // Parked idle slots re-evaluate their offer logic on wakeup; without
-      // this nudge a slot that went idle before we became growable would
-      // never lend.
-      if (growable) queue_cv_.notify_all();
+      job.cpus = cpus;
     }
 
     bool hit = false;
@@ -874,9 +727,6 @@ void Service::run_job(Job& job, unsigned si) {
       // count would have derived (the flux solvers validate that the two
       // agree).
       options.numa_domains = pool->domain_count();
-      if (growable) {
-        options.resize_poll = [this, &job] { apply_grant(job); };
-      }
     }
 
     wire::Json summary = wire::Json::object();
@@ -965,11 +815,9 @@ void Service::run_job(Job& job, unsigned si) {
     terminal_error = e.what();
   }
   // Teardown order matters: unpublish the pool (so a late cancel() cannot
-  // poke freed memory), destroy it (its workers release their CPUs), hand
-  // borrowed partitions back to their lender slots — a re-granted lender
-  // must never overlap a dying pool's workers — and only then publish the
-  // terminal state. Waiters woken by finish_job must find the job's
-  // resources already reclaimed, not racing a dying pool.
+  // poke freed memory), destroy it (its workers release their CPUs), and
+  // only then publish the terminal state. Waiters woken by finish_job must
+  // find the job's pool already gone, not racing a dying one.
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     job.active_pool = nullptr;
@@ -977,7 +825,6 @@ void Service::run_job(Job& job, unsigned si) {
   pool.reset();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    reclaim_grants_locked(job);
     finish_job(job, terminal_state, terminal_error);
   }
 }
@@ -1001,9 +848,6 @@ ServiceStats Service::stats() const {
     s.dispatch.depth_interactive =
         queue_.depth(dispatch::Class::kInteractive);
     s.dispatch.depth_batch = queue_.depth(dispatch::Class::kBatch);
-    s.dispatch.grants_offered = grants_offered_;
-    s.dispatch.grants_applied = grants_applied_;
-    s.dispatch.grants_revoked = grants_revoked_;
   }
   s.cache = cache_.stats();
   // One coherent snapshot for all three quantiles (and it is one ring flip,
@@ -1052,10 +896,6 @@ wire::Json Service::queue_snapshot() const {
     if (s->running != nullptr) {
       p.set("job", static_cast<std::uint64_t>(s->running->id));
     }
-    if (s->lent_to != nullptr) {
-      p.set("lent_to", static_cast<std::uint64_t>(s->lent_to->id));
-      p.set("lent_applied", s->lent_applied);
-    }
     parts.push(std::move(p));
   }
   j.set("partitions", std::move(parts));
@@ -1069,9 +909,9 @@ wire::Json Service::queue_snapshot() const {
     r.set("weight", static_cast<std::uint64_t>(job->weight));
     if (!job->fair_client.empty()) r.set("client", job->fair_client);
     r.set("slot", static_cast<std::int64_t>(job->slot));
-    if (!job->granted_cpus.empty()) {
-      r.set("cpus", cpulist_of(job->granted_cpus));
-      r.set("workers", static_cast<std::uint64_t>(job->granted_cpus.size()));
+    if (!job->cpus.empty()) {
+      r.set("cpus", cpulist_of(job->cpus));
+      r.set("workers", static_cast<std::uint64_t>(job->cpus.size()));
     }
     running.push(std::move(r));
   }

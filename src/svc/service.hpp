@@ -17,10 +17,9 @@
 // two-level scheduler (svc/dispatch/queue.hpp): strict priority classes
 // (interactive > batch) with deficit-round-robin weighted fairness across
 // clients inside a class. Per-job quotas (max_workers / max_mem_bytes /
-// deadline_ms) are enforced at grant, plan, and run time respectively, and
-// an idle slot may lend its partition to a running growable flux job at
-// the job's next iteration boundary (the solvers' resize_poll hook →
-// flux::Scheduler::expand) — the elastic grant protocol.
+// deadline_ms) are enforced at pool build, plan, and run time
+// respectively. A job's worker count is fixed when its pool is built: an
+// idle slot never widens another slot's running job.
 //
 // Cancellation reuses the solver layer's cooperative tokens: a PENDING job
 // flips straight to CANCELLED; a RUNNING job gets its token requested,
@@ -28,10 +27,8 @@
 // promptly. Solver breakdown (SolverStatus != kOk) and injected faults
 // mark the job FAILED without touching the daemon.
 //
-// Fault sites: "svc:job" fires inside a slot's per-job try block
-// (poisoning exactly one job); "svc:grant" fires at partition-grant time
-// inside resize_poll, so chaos tests can kill a job mid-resize and assert
-// the lender slot is reclaimed and re-granted.
+// Fault site: "svc:job" fires inside a slot's per-job try block
+// (poisoning exactly one job).
 #pragma once
 
 #include <atomic>
@@ -120,17 +117,14 @@ struct ServiceStats {
     std::string affinity;      // "off" | "compact" | "scatter"
   };
   Topology topology;
-  /// Dispatcher state (DESIGN.md §15): slot occupancy, per-class queue
-  /// depths, and the elastic-grant counters.
+  /// Dispatcher state (DESIGN.md §15): slot occupancy and per-class queue
+  /// depths.
   struct Dispatch {
     unsigned slots = 1;
     std::string policy;        // "fifo" | "fair"
     unsigned running_jobs = 0;
     std::size_t depth_interactive = 0;
     std::size_t depth_batch = 0;
-    std::uint64_t grants_offered = 0;
-    std::uint64_t grants_applied = 0;
-    std::uint64_t grants_revoked = 0;
   };
   Dispatch dispatch;
 };
@@ -248,11 +242,7 @@ private:
     std::int64_t deadline_ns = 0; // absolute; 0 = none
     int slot = -1;              // slot executing this job (-1 until RUNNING)
     flux::Scheduler* active_pool = nullptr; // this job's pool while RUNNING
-    bool growable = false;      // eligible for elastic grants
-    std::vector<int> granted_cpus;      // base partition + applied grants
-    std::vector<int> pending_cpus;      // offered, not yet applied
-    int pending_from_slot = -1;         // lender of pending_cpus
-    std::vector<unsigned> borrowed_slots; // lenders with applied grants
+    std::vector<int> cpus;      // flux pool's CPUs, fixed at pool build
   };
 
   /// One job slot: a worker partition plus the thread that serves it.
@@ -260,23 +250,12 @@ private:
     unsigned index = 0;
     dispatch::Partition part;
     Job* running = nullptr;
-    Job* lent_to = nullptr;  // job holding (or offered) this slot's cpus
-    bool lent_applied = false; // grant consumed by the borrower's pool
     std::thread thread;
   };
 
   void slot_loop(unsigned si);
   void run_job(Job& job, unsigned si);
   void finish_job(Job& job, JobState state, const std::string& error);
-  /// Returns every borrowed/offered partition to its lender slot and wakes
-  /// the slot threads. Caller holds mutex_.
-  void reclaim_grants_locked(Job& job);
-  /// Offers slot `si`'s partition to a running growable job, if any wants
-  /// more workers. Caller holds mutex_.
-  void offer_grant_locked(unsigned si);
-  /// The resize_poll body for `job`: applies a pending grant (fault site
-  /// svc:grant) via Scheduler::expand at the job's iteration boundary.
-  void apply_grant(Job& job);
   /// Single authority for the svc.queue_depth gauge (and the per-class
   /// dispatch depth gauges): every queue mutation republishes the absolute
   /// sizes under mutex_, so the gauges cannot drift from the queue no
@@ -301,7 +280,6 @@ private:
   Config config_;
   PlanCache cache_;
   std::vector<dispatch::Partition> partitions_; // carve result (exclusive)
-  bool exclusive_partitions_ = true; // false when slots oversubscribe
 
   mutable std::mutex mutex_;
   mutable std::condition_variable job_done_cv_;
@@ -321,9 +299,6 @@ private:
   std::uint64_t failed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t recovered_ = 0;
-  std::uint64_t grants_offered_ = 0;
-  std::uint64_t grants_applied_ = 0;
-  std::uint64_t grants_revoked_ = 0;
 
   /// The job-trace ring has one process-global capture window; slots
   /// contend for it and a loser simply runs untraced.

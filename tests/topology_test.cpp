@@ -280,6 +280,42 @@ TEST(SchedulerPlacement, TopologyAwareHonorsNumaOff) {
   EXPECT_EQ(c.threads, 4u);
 }
 
+TEST(SchedulerPlacement, ForPartitionPinsEachWorkerToItsCpu) {
+  ::unsetenv("STS_AFFINITY"); // a partition pins unless this says off
+  SysFixture fx;
+  build_two_node(fx);
+  const Machine m = support::topo::detect(fx.root());
+
+  // One node's CPUs in any order: worker i takes cpus[i], one domain.
+  const std::vector<int> one_node{5, 4, 6};
+  flux::Scheduler single(
+      flux::Scheduler::Config::for_partition(one_node, &m));
+  ASSERT_EQ(single.thread_count(), 3u);
+  EXPECT_EQ(single.domain_count(), 1u);
+  for (unsigned w = 0; w < 3; ++w) {
+    EXPECT_EQ(single.cpu_of_worker(w), one_node[w]) << w;
+    EXPECT_EQ(single.domain_of_worker(w), 0u) << w;
+  }
+
+  // Straddling both nodes: one domain per node, workers grouped by node.
+  flux::Scheduler split(
+      flux::Scheduler::Config::for_partition({2, 3, 4, 5}, &m));
+  ASSERT_EQ(split.thread_count(), 4u);
+  ASSERT_EQ(split.domain_count(), 2u);
+  EXPECT_EQ(split.domain_of_worker(0), split.domain_of_worker(1));
+  EXPECT_EQ(split.domain_of_worker(2), split.domain_of_worker(3));
+  EXPECT_NE(split.domain_of_worker(0), split.domain_of_worker(2));
+
+  // Domain-hinted submits land on that domain's workers and all run.
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 64; ++i) {
+    split.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
+                 i % 3 - 1); // hints -1, 0, 1
+  }
+  split.wait_for_quiescence();
+  EXPECT_EQ(ran.load(), 64);
+}
+
 TEST(SchedulerStats, TierCountsSumToTotalSteals) {
   flux::Scheduler sched({.threads = 4, .numa_domains = 2, .numa_aware = true});
   std::atomic<int> ran{0};

@@ -80,7 +80,7 @@ stage_dispatch() {
   echo "== dispatch: scheduler/partition tests + latency bench =="
   # The dispatch label covers the FairQueue DRR accounting, the partition
   # arithmetic against sysfs fixtures, and the Service-level
-  # slot/quota/grant tests; the svc label re-runs alongside it because the
+  # slot/partition/quota tests; the svc label re-runs alongside it because the
   # dispatcher rewired the daemon's execution path. The bench exports
   # makespan + p99 interactive latency for fifo/1-slot vs fair/4-slots
   # over a mixed 32-job workload.
@@ -146,6 +146,13 @@ stage_tsan() {
     --gtest_filter='Solvers.LanczosTaskResultsDoNotDependOnWorkerCount'
   "$tsan_build/tests/cg_test" \
     --gtest_filter='Cg.FluxResultsDoNotDependOnWorkerCount'
+  # Pool placement over a fixture topology, and steal-tier accounting: a
+  # pool's workers and placement tables are built before its threads
+  # start and are plain (non-atomic) from then on. These cases enter no
+  # OpenMP region.
+  cmake --build "$tsan_build" -j "$jobs" --target topology_test
+  "$tsan_build/tests/topology_test" \
+    --gtest_filter='SchedulerPlacement.*:SchedulerStats.*'
   cmake --build "$tsan_build" -j "$jobs" --target obs_test
   "$tsan_build/tests/obs_test" \
     --gtest_filter='Registry.*:Histogram.*:Prometheus.*:Profiler.*:JobTrace.*'
