@@ -1,10 +1,10 @@
 // Microbenchmarks (google-benchmark) of the runtime substrates themselves:
-// flux task spawn/dataflow overhead, rgt dependence analysis throughput
-// (with and without dynamic tracing), and ds graph build + execution
-// overhead. These are the per-task costs the paper's block-size heuristic
-// (Fig. 14) trades against parallelism. The spawn/execute benchmarks take
-// an Arg(0)/Arg(1) telemetry toggle so the obs-layer overhead (the ≤2%
-// budget from DESIGN.md) is measurable as a same-binary delta.
+// flux task spawn/dataflow overhead, rgt dependence analysis throughput,
+// and ds graph build + execution overhead. These are the per-task costs
+// the paper's block-size heuristic (Fig. 14) trades against parallelism.
+// The spawn/execute benchmarks take an Arg(0)/Arg(1) telemetry toggle so
+// the obs-layer overhead (the ≤2% budget from DESIGN.md) is measurable as
+// a same-binary delta.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -116,26 +116,21 @@ void BM_FluxDataflowFanIn(benchmark::State& state) {
 BENCHMARK(BM_FluxDataflowFanIn);
 
 void BM_RgtAnalysis(benchmark::State& state) {
-  const bool traced = state.range(0) != 0;
   std::vector<double> data(1024, 0.0);
   rgt::Runtime rt({.cpu_workers = 2});
   const rgt::RegionId r = rt.register_region(data, "d");
   rt.partition_equal(r, 64);
-  int trace_id = 0;
   for (auto _ : state) {
-    if (traced) rt.begin_trace(trace_id);
     for (std::int32_t p = 0; p < 64; ++p) {
       rt.execute({[](rgt::TaskContext&) {},
                   {{r, p, rgt::Privilege::kReadWrite}},
                   "t"});
     }
-    if (traced) rt.end_trace(trace_id);
     rt.wait_all();
   }
   state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel(traced ? "dynamic tracing" : "full analysis");
 }
-BENCHMARK(BM_RgtAnalysis)->Arg(0)->Arg(1);
+BENCHMARK(BM_RgtAnalysis);
 
 void BM_DsGraphBuild(benchmark::State& state) {
   sparse::Coo coo = sparse::gen_fem3d(12, 12, 12, 1, 9);

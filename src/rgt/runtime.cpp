@@ -47,31 +47,6 @@ struct Runtime::TaskRecord {
   std::vector<TaskRecord*> dep_seen; // analysis-time dedup, serial access
   std::atomic<std::int32_t> remaining{1}; // sentinel held by the analyzer
   bool finished = false;
-  std::int32_t trace_index = -1; // position inside the active capture
-  // Capture-time dependence recording (entries are appended only after a
-  // task's analysis completes, so deps are buffered here first).
-  std::vector<std::int32_t> trace_deps;
-  bool trace_boundary = false;
-  Runtime* rt = nullptr;
-};
-
-struct Runtime::Trace {
-  struct Entry {
-    bool is_fold = false;
-    RegionId fold_region = kInvalidRegion;
-    std::vector<std::int32_t> deps_in_trace;
-    bool depends_on_boundary = false;
-  };
-  struct PieceFinal {
-    RegionId region;
-    std::int32_t piece;
-    std::int32_t writer = -1; // trace-local id, -1 = untouched by a writer
-    std::vector<std::int32_t> readers;
-  };
-  bool captured = false;
-  std::vector<Entry> entries;
-  std::vector<PieceFinal> finals;
-  std::size_t cursor = 0;
 };
 
 Runtime::Runtime(Config config)
@@ -113,28 +88,6 @@ void Runtime::partition_equal(RegionId region, std::int32_t pieces) {
   r.piece_states.assign(static_cast<std::size_t>(pieces), PieceState{});
 }
 
-std::int32_t Runtime::pieces_of(RegionId region) const {
-  STS_EXPECTS(region >= 0 &&
-              static_cast<std::size_t>(region) < regions_.size());
-  return regions_[static_cast<std::size_t>(region)].pieces;
-}
-
-std::pair<std::size_t, std::size_t> Runtime::piece_range(
-    RegionId region, std::int32_t piece) const {
-  STS_EXPECTS(region >= 0 &&
-              static_cast<std::size_t>(region) < regions_.size());
-  const RegionState& r = regions_[static_cast<std::size_t>(region)];
-  STS_EXPECTS(piece >= 0 && piece < r.pieces);
-  const std::size_t n = r.storage.size();
-  const std::size_t pieces = static_cast<std::size_t>(r.pieces);
-  const std::size_t base = n / pieces;
-  const std::size_t rem = n % pieces;
-  const std::size_t p = static_cast<std::size_t>(piece);
-  const std::size_t begin = p * base + std::min(p, rem);
-  const std::size_t end = begin + base + (p < rem ? 1 : 0);
-  return {begin, end};
-}
-
 void Runtime::add_dependence(const TaskPtr& before, const TaskPtr& after) {
   if (before == after) return;
   // Dedup: `after` is still private to the analyzer thread.
@@ -159,35 +112,11 @@ void Runtime::add_dependence(const TaskPtr& before, const TaskPtr& after) {
     // Predecessor already done; retract the count. The analyzer still holds
     // the sentinel, so this cannot reach zero and submit.
     after->remaining.fetch_sub(1, std::memory_order_acq_rel);
+    return;
   }
-  if (pending) {
-    ++stats_.dependence_edges;
-    static obs::Counter& edges = obs::counter("rgt.dependence_edges");
-    edges.add(1);
-    if (active_capture_ != nullptr) {
-      if (before->trace_index >= 0) {
-        after->trace_deps.push_back(before->trace_index);
-      } else {
-        after->trace_boundary = true;
-      }
-    }
-  } else if (active_capture_ != nullptr && before->trace_index >= 0) {
-    // The predecessor already finished but the structural edge still
-    // belongs to the trace.
-    after->trace_deps.push_back(before->trace_index);
-  }
-}
-
-void Runtime::append_capture_entry(const TaskPtr& task, bool is_fold,
-                                   RegionId fold_region) {
-  Trace::Entry entry;
-  entry.is_fold = is_fold;
-  entry.fold_region = fold_region;
-  entry.deps_in_trace = std::move(task->trace_deps);
-  entry.depends_on_boundary = task->trace_boundary;
-  active_capture_->entries.push_back(std::move(entry));
-  task->trace_index =
-      static_cast<std::int32_t>(active_capture_->entries.size() - 1);
+  ++stats_.dependence_edges;
+  static obs::Counter& edges = obs::counter("rgt.dependence_edges");
+  edges.add(1);
 }
 
 void Runtime::run_body(const TaskPtr& task) {
@@ -282,10 +211,8 @@ void Runtime::rethrow_and_reset() {
 void Runtime::drain() noexcept {
   // Blocks without helping: this runs in the destructor, possibly during
   // unwinding, where running arbitrary task bodies is the wrong thing.
-  if (active_capture_ == nullptr && active_replay_ == nullptr) {
-    for (std::size_t rid = 0; rid < regions_.size(); ++rid) {
-      close_reduction_epoch(static_cast<RegionId>(rid));
-    }
+  for (std::size_t rid = 0; rid < regions_.size(); ++rid) {
+    close_reduction_epoch(static_cast<RegionId>(rid));
   }
   {
     std::unique_lock<std::mutex> lock(window_mutex_);
@@ -355,14 +282,12 @@ void Runtime::close_reduction_epoch(RegionId region) {
   if (r.open_reducers.empty()) return;
 
   auto fold = std::make_shared<TaskRecord>();
-  fold->rt = this;
   fold->name = "reduction_fold";
   fold->body = fold_body(region);
 
   for (const TaskPtr& reducer : r.open_reducers) {
     add_dependence(reducer, fold);
   }
-  if (active_capture_ != nullptr) append_capture_entry(fold, true, region);
   r.open_reducers.clear();
   for (PieceState& ps : r.piece_states) {
     ps.last_writer = fold;
@@ -442,40 +367,11 @@ void Runtime::execute(TaskLaunch launch) {
   help_while(config_.window);
 
   auto task = std::make_shared<TaskRecord>();
-  task->rt = this;
   task->body = std::move(launch.body);
   task->name = launch.name;
 
   const support::Timer analysis_timer;
-
-  if (active_replay_ != nullptr) {
-    // Replay: wire recorded dependencies, skip analysis entirely.
-    Trace& tr = *active_replay_;
-    // Folds recorded before this task fire first.
-    while (tr.cursor < tr.entries.size() &&
-           tr.entries[tr.cursor].is_fold) {
-      replay_fold_entry();
-    }
-    STS_EXPECTS(tr.cursor < tr.entries.size());
-    const Trace::Entry& entry = tr.entries[tr.cursor];
-    STS_EXPECTS(!entry.is_fold);
-    task->trace_index = static_cast<std::int32_t>(tr.cursor);
-    for (std::int32_t dep : entry.deps_in_trace) {
-      add_dependence(replay_tasks_[static_cast<std::size_t>(dep)], task);
-    }
-    if (entry.depends_on_boundary) {
-      for (const TaskPtr& b : replay_boundary_) add_dependence(b, task);
-    }
-    replay_tasks_[tr.cursor] = task;
-    ++tr.cursor;
-    ++stats_.traced_replays;
-  } else {
-    analyze_and_wire(task, launch.reqs, /*update_states=*/true);
-    if (active_capture_ != nullptr) {
-      append_capture_entry(task, false, kInvalidRegion);
-    }
-  }
-
+  analyze_and_wire(task, launch.reqs, /*update_states=*/true);
   stats_.analysis_seconds += analysis_timer.seconds();
   ++stats_.tasks_launched;
   note_in_flight(in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1);
@@ -484,10 +380,6 @@ void Runtime::execute(TaskLaunch launch) {
 
 void Runtime::index_launch(
     std::int32_t count, const std::function<TaskLaunch(std::int32_t)>& make) {
-  if (active_replay_ != nullptr) {
-    for (std::int32_t i = 0; i < count; ++i) execute(make(i));
-    return;
-  }
   // Materialize the whole launch, optionally verify pairwise
   // non-interference, analyze each task against the *pre-launch* state,
   // then apply all state updates. This is the single-analysis shortcut
@@ -504,13 +396,9 @@ void Runtime::index_launch(
   for (TaskLaunch& l : launches) {
     help_while(config_.window);
     auto task = std::make_shared<TaskRecord>();
-    task->rt = this;
     task->body = std::move(l.body);
     task->name = l.name;
     analyze_and_wire(task, l.reqs, /*update_states=*/false);
-    if (active_capture_ != nullptr) {
-      append_capture_entry(task, false, kInvalidRegion);
-    }
     tasks.push_back(task);
   }
   for (std::size_t i = 0; i < launches.size(); ++i) {
@@ -522,123 +410,6 @@ void Runtime::index_launch(
     note_in_flight(in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1);
     notify_ready(t);
   }
-}
-
-void Runtime::begin_trace(std::int32_t trace_id) {
-  STS_EXPECTS(active_capture_ == nullptr && active_replay_ == nullptr);
-  auto it = traces_.find(trace_id);
-  if (it != traces_.end() && it->second->captured) {
-    active_replay_ = it->second.get();
-    active_replay_->cursor = 0;
-    replay_tasks_.assign(active_replay_->entries.size(), nullptr);
-    snapshot_boundary();
-  } else {
-    auto trace = std::make_unique<Trace>();
-    active_capture_ = trace.get();
-    traces_[trace_id] = std::move(trace);
-  }
-}
-
-void Runtime::end_trace(std::int32_t trace_id) {
-  auto it = traces_.find(trace_id);
-  STS_EXPECTS(it != traces_.end());
-  if (active_capture_ == it->second.get()) {
-    // Record the post-trace piece states in trace-local coordinates so a
-    // replay can reproduce them with the new task instances.
-    Trace& tr = *active_capture_;
-    for (std::size_t rid = 0; rid < regions_.size(); ++rid) {
-      RegionState& r = regions_[rid];
-      STS_EXPECTS(r.open_reducers.empty()); // fold before ending a trace
-      for (std::int32_t p = 0; p < r.pieces; ++p) {
-        const PieceState& ps = r.piece_states[static_cast<std::size_t>(p)];
-        Trace::PieceFinal fin;
-        fin.region = static_cast<RegionId>(rid);
-        fin.piece = p;
-        bool touched = false;
-        if (ps.last_writer && ps.last_writer->trace_index >= 0) {
-          fin.writer = ps.last_writer->trace_index;
-          touched = true;
-        }
-        for (const TaskPtr& rd : ps.readers_since_write) {
-          if (rd->trace_index >= 0) {
-            fin.readers.push_back(rd->trace_index);
-            touched = true;
-          }
-        }
-        if (touched) tr.finals.push_back(std::move(fin));
-      }
-    }
-    tr.captured = true;
-    active_capture_ = nullptr;
-  } else if (active_replay_ == it->second.get()) {
-    Trace& tr = *active_replay_;
-    // Drain trailing folds.
-    while (tr.cursor < tr.entries.size()) {
-      STS_EXPECTS(tr.entries[tr.cursor].is_fold);
-      replay_fold_entry();
-    }
-    // Re-impose the recorded piece states with the replayed task handles.
-    for (const Trace::PieceFinal& fin : tr.finals) {
-      RegionState& r = regions_[static_cast<std::size_t>(fin.region)];
-      PieceState& ps = r.piece_states[static_cast<std::size_t>(fin.piece)];
-      if (fin.writer >= 0) {
-        ps.last_writer = replay_tasks_[static_cast<std::size_t>(fin.writer)];
-        ps.readers_since_write.clear();
-      }
-      for (std::int32_t rd : fin.readers) {
-        ps.readers_since_write.push_back(
-            replay_tasks_[static_cast<std::size_t>(rd)]);
-      }
-    }
-    active_replay_ = nullptr;
-    replay_tasks_.clear();
-    replay_boundary_.clear();
-  } else {
-    STS_EXPECTS(false && "end_trace without matching begin_trace");
-  }
-}
-
-void Runtime::snapshot_boundary() {
-  // Conservative replay boundary: every task currently recorded as a piece
-  // writer/reader. Replayed tasks flagged depends_on_boundary wait for all
-  // of them -- sound, and cheap because iterative solvers have few live
-  // tasks at iteration boundaries.
-  replay_boundary_.clear();
-  for (RegionState& r : regions_) {
-    for (PieceState& ps : r.piece_states) {
-      if (ps.last_writer) replay_boundary_.push_back(ps.last_writer);
-      for (const TaskPtr& rd : ps.readers_since_write) {
-        replay_boundary_.push_back(rd);
-      }
-    }
-  }
-  std::sort(replay_boundary_.begin(), replay_boundary_.end());
-  replay_boundary_.erase(
-      std::unique(replay_boundary_.begin(), replay_boundary_.end()),
-      replay_boundary_.end());
-}
-
-void Runtime::replay_fold_entry() {
-  Trace& tr = *active_replay_;
-  const Trace::Entry& entry = tr.entries[tr.cursor];
-  STS_EXPECTS(entry.is_fold);
-  auto fold = std::make_shared<TaskRecord>();
-  fold->rt = this;
-  fold->name = "reduction_fold";
-  fold->body = fold_body(entry.fold_region);
-  fold->trace_index = static_cast<std::int32_t>(tr.cursor);
-  for (std::int32_t dep : entry.deps_in_trace) {
-    add_dependence(replay_tasks_[static_cast<std::size_t>(dep)], fold);
-  }
-  if (entry.depends_on_boundary) {
-    for (const TaskPtr& b : replay_boundary_) add_dependence(b, fold);
-  }
-  replay_tasks_[tr.cursor] = fold;
-  ++tr.cursor;
-  ++stats_.folds_inserted;
-  ++stats_.tasks_launched;
-  note_in_flight(in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1);
-  notify_ready(fold);
 }
 
 void Runtime::verify_noninterference(
@@ -687,7 +458,6 @@ void Runtime::on_finished() {
 }
 
 void Runtime::wait_all() {
-  STS_EXPECTS(active_capture_ == nullptr && active_replay_ == nullptr);
   // Close any open reduction epochs so region storage is authoritative.
   for (std::size_t rid = 0; rid < regions_.size(); ++rid) {
     close_reduction_epoch(static_cast<RegionId>(rid));
@@ -697,7 +467,6 @@ void Runtime::wait_all() {
 }
 
 void Runtime::wait_all(std::chrono::milliseconds deadline) {
-  STS_EXPECTS(active_capture_ == nullptr && active_replay_ == nullptr);
   for (std::size_t rid = 0; rid < regions_.size(); ++rid) {
     close_reduction_epoch(static_cast<RegionId>(rid));
   }

@@ -14,23 +14,24 @@
 //   * index launches that skip pairwise interference checks within the
 //     launch (with an optional debug verification of non-interference),
 //   * reduce privileges implemented as per-worker reduction instances
-//     folded back on the next conflicting access (paper Fig. 7), and
-//   * dynamic tracing: capture the dependence pattern of one iteration and
-//     replay it without re-running the analysis [Lee et al., SC'18].
+//     folded back on the next conflicting access (paper Fig. 7).
+//
+// Every launch pays the full analysis: Legion's dynamic tracing, which
+// replays a captured iteration's dependences, is not modelled (DESIGN.md
+// §10). Regent's -ll:util analysis threads are modelled only by the
+// schedule simulator's Regent policy (sim::SimOptions::util_threads).
 //
 // Execution uses a work-stealing pool (flux::Scheduler) as the CPU
-// processor group; `util_threads` exists for symmetry with Regent's
-// -ll:util and is consumed by the schedule simulator's Regent policy.
-// While the launching thread waits (wait_all(), a full window) it runs
-// ready tasks itself, as a Legion task blocked on a future yields its
-// processor to other ready tasks; it acts as worker `cpu_workers`.
+// processor group. While the launching thread waits (wait_all(), a full
+// window) it runs ready tasks itself, as a Legion task blocked on a future
+// yields its processor to other ready tasks; it acts as worker
+// `cpu_workers`.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -95,7 +96,6 @@ class Runtime {
 public:
   struct Config {
     unsigned cpu_workers = 2;       // -ll:cpu (0 runs one worker)
-    unsigned util_threads = 1;      // -ll:util (consumed by the simulator)
     bool verify_index_launches = false;
     /// Maximum launched-but-unfinished tasks before execute() stops
     /// launching and runs ready tasks itself until the count drops below
@@ -108,7 +108,6 @@ public:
     std::uint64_t dependence_edges = 0;
     std::uint64_t piece_checks = 0;       // analysis work performed
     std::uint64_t folds_inserted = 0;
-    std::uint64_t traced_replays = 0;
     std::uint64_t tasks_helped = 0;       // run by the launcher while waiting
     double analysis_seconds = 0.0;        // time spent in the serial analyzer
   };
@@ -127,11 +126,6 @@ public:
   /// May be called once per region, before any launch touching pieces.
   void partition_equal(RegionId region, std::int32_t pieces);
 
-  [[nodiscard]] std::int32_t pieces_of(RegionId region) const;
-  /// Element range [begin, end) of a piece.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> piece_range(
-      RegionId region, std::int32_t piece) const;
-
   /// Launches one task; dependence analysis runs here, in program order.
   void execute(TaskLaunch launch);
 
@@ -140,11 +134,6 @@ public:
   /// checked (unless verify_index_launches), only against earlier tasks.
   void index_launch(std::int32_t count,
                     const std::function<TaskLaunch(std::int32_t)>& make);
-
-  /// Dynamic tracing. The first capture of `trace_id` records the
-  /// dependence decisions; subsequent identical replays skip analysis.
-  void begin_trace(std::int32_t trace_id);
-  void end_trace(std::int32_t trace_id);
 
   /// Returns once all launched tasks (and pending folds) completed,
   /// running ready tasks on the calling thread meanwhile. If a task body
@@ -169,9 +158,6 @@ public:
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] unsigned cpu_workers() const noexcept {
     return config_.cpu_workers;
-  }
-  [[nodiscard]] unsigned util_threads() const noexcept {
-    return config_.util_threads;
   }
 
 private:
@@ -199,8 +185,6 @@ private:
     std::vector<std::uint8_t> instance_dirty;
   };
 
-  struct Trace;
-
   void analyze_and_wire(const TaskPtr& task,
                         const std::vector<RegionReq>& reqs,
                         bool update_states);
@@ -208,8 +192,6 @@ private:
                            const std::vector<RegionReq>& reqs);
   void close_reduction_epoch(RegionId region);
   void add_dependence(const TaskPtr& before, const TaskPtr& after);
-  void append_capture_entry(const TaskPtr& task, bool is_fold,
-                            RegionId fold_region);
   /// Drops one pending-dependency count; submits the task when it hits 0.
   void notify_ready(const TaskPtr& task);
   void run_body(const TaskPtr& task);
@@ -220,8 +202,6 @@ private:
   /// Runs ready tasks on the launching thread while `limit` or more tasks
   /// are in flight, parking briefly whenever none is ready.
   void help_while(std::uint64_t limit);
-  void snapshot_boundary();
-  void replay_fold_entry();
   [[nodiscard]] TaskBody fold_body(RegionId region);
   void verify_noninterference(const std::vector<TaskLaunch>& launches);
   double* instance_for(RegionId region, int worker);
@@ -239,12 +219,6 @@ private:
   std::exception_ptr first_error_;
 
   Stats stats_;
-
-  std::map<std::int32_t, std::unique_ptr<Trace>> traces_;
-  Trace* active_capture_ = nullptr;
-  Trace* active_replay_ = nullptr;
-  std::vector<TaskPtr> replay_tasks_;
-  std::vector<TaskPtr> replay_boundary_;
 
   // Declared last so it is destroyed first: its destructor joins the
   // workers, and a worker can still be inside on_finished() (taking

@@ -446,10 +446,7 @@ LanczosResult run_rgt(const sparse::Csb& csb, int k,
   const index_t m = s.m;
   const index_t kq = s.cols;
 
-  rgt::Runtime rt({.cpu_workers = options.threads,
-                   .util_threads = 1,
-                   .verify_index_launches = false,
-                   .window = 4096});
+  rgt::Runtime rt({.cpu_workers = options.threads});
 
   la::DenseMatrix proj_part(np, kq);
   la::DenseMatrix dot_part(np, 1);

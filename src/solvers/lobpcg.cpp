@@ -745,10 +745,7 @@ public:
   RgtLobpcg(State* s, const sparse::Csb* a, const LobpcgOptions& options)
       : s_(s), a_(a), opts_(options), np_(a->block_rows()),
         b_(a->block_size()),
-        rt_({.cpu_workers = options.threads,
-             .util_threads = 1,
-             .verify_index_launches = false,
-             .window = 4096}) {}
+        rt_({.cpu_workers = options.threads}) {}
 
   rgt::Runtime& runtime() { return rt_; }
 

@@ -18,7 +18,6 @@ namespace {
 
 Runtime::Config cfg(unsigned workers = 2, bool verify = false) {
   return {.cpu_workers = workers,
-          .util_threads = 1,
           .verify_index_launches = verify,
           .window = 1024};
 }
@@ -74,23 +73,6 @@ TEST(Runtime, ParallelReadsDoNotSerialize) {
               "w"});
   rt.wait_all();
   EXPECT_EQ(reads_at_write.load(), 32);
-}
-
-TEST(Runtime, PieceRangesPartitionEvenly) {
-  std::vector<double> data(103, 0.0);
-  Runtime rt(cfg());
-  const RegionId r = rt.register_region(data, "d");
-  rt.partition_equal(r, 10);
-  EXPECT_EQ(rt.pieces_of(r), 10);
-  std::size_t covered = 0;
-  std::size_t prev_end = 0;
-  for (std::int32_t p = 0; p < 10; ++p) {
-    const auto [b, e] = rt.piece_range(r, p);
-    EXPECT_EQ(b, prev_end);
-    prev_end = e;
-    covered += e - b;
-  }
-  EXPECT_EQ(covered, 103u);
 }
 
 TEST(Runtime, DisjointPiecesRunWithoutFalseDependencies) {
@@ -197,69 +179,25 @@ TEST(Reduction, AccumulatesOntoExistingContents) {
   EXPECT_DOUBLE_EQ(acc[0], 15.0);
 }
 
-TEST(Tracing, ReplayMatchesDirectExecution) {
-  const int np = 6;
-  std::vector<double> x(static_cast<std::size_t>(np), 1.0);
-  std::vector<double> y(static_cast<std::size_t>(np), 0.0);
-  Runtime rt(cfg(4));
-  const RegionId rx = rt.register_region(x, "x");
-  const RegionId ry = rt.register_region(y, "y");
-  rt.partition_equal(rx, np);
-  rt.partition_equal(ry, np);
-
-  auto one_iteration = [&] {
-    for (std::int32_t i = 0; i < np; ++i) {
-      rt.execute({[&x, &y, i](TaskContext&) {
-                    y[static_cast<std::size_t>(i)] =
-                        2.0 * x[static_cast<std::size_t>(i)];
+TEST(Reduction, DestructorFoldsAnOpenEpoch) {
+  std::vector<double> acc = {1.0, 2.0, 7.0};
+  {
+    Runtime rt(cfg(3));
+    const RegionId r = rt.register_region(acc, "acc");
+    for (int i = 0; i < 50; ++i) {
+      rt.execute({[r](TaskContext& ctx) {
+                    auto buf = ctx.reduce_target(r);
+                    buf[0] += 1.0;
+                    buf[1] += 0.25;
                   },
-                  {{rx, i, Privilege::kRead}, {ry, i, Privilege::kWrite}},
-                  "double"});
+                  {{r, -1, Privilege::kReduce}},
+                  "red"});
     }
-    for (std::int32_t i = 0; i < np; ++i) {
-      rt.execute({[&x, &y, i](TaskContext&) {
-                    x[static_cast<std::size_t>(i)] =
-                        y[static_cast<std::size_t>(i)] + 1.0;
-                  },
-                  {{ry, i, Privilege::kRead}, {rx, i, Privilege::kReadWrite}},
-                  "inc"});
-    }
-  };
-
-  for (int iter = 0; iter < 5; ++iter) {
-    rt.begin_trace(1);
-    one_iteration();
-    rt.end_trace(1);
-    rt.wait_all();
+    // No wait_all(): the destructor must close the epoch and drain.
   }
-  // x follows x -> 2x + 1 five times from x=1: 1,3,7,15,31,63.
-  for (int i = 0; i < np; ++i) {
-    EXPECT_DOUBLE_EQ(x[static_cast<std::size_t>(i)], 63.0);
-  }
-  EXPECT_GT(rt.stats().traced_replays, 0u);
-}
-
-TEST(Tracing, ReplaySkipsAnalysisWork) {
-  std::vector<double> x(4, 0.0);
-  Runtime rt(cfg(2));
-  const RegionId r = rt.register_region(x, "x");
-  rt.partition_equal(r, 4);
-  auto body = [&](std::int32_t i) {
-    return TaskLaunch{[&x, i](TaskContext&) { x[static_cast<std::size_t>(i)] += 1.0; },
-                      {{r, i, Privilege::kReadWrite}},
-                      "t"};
-  };
-  rt.begin_trace(9);
-  for (std::int32_t i = 0; i < 4; ++i) rt.execute(body(i));
-  rt.end_trace(9);
-  rt.wait_all();
-  const auto checks_after_capture = rt.stats().piece_checks;
-  rt.begin_trace(9);
-  for (std::int32_t i = 0; i < 4; ++i) rt.execute(body(i));
-  rt.end_trace(9);
-  rt.wait_all();
-  EXPECT_EQ(rt.stats().piece_checks, checks_after_capture);
-  for (double v : x) EXPECT_DOUBLE_EQ(v, 2.0);
+  EXPECT_DOUBLE_EQ(acc[0], 51.0);
+  EXPECT_DOUBLE_EQ(acc[1], 14.5);
+  EXPECT_DOUBLE_EQ(acc[2], 7.0);
 }
 
 /// Property test: a random sequence of read/write/readwrite tasks over
